@@ -22,7 +22,7 @@
 #include "baselines/TemplateLearner.h"
 #include "baselines/UnwindSolver.h"
 #include "corpus/Harness.h"
-#include "solver/Portfolio.h"
+#include "solver/Plan.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -149,13 +149,14 @@ inline SolverFactory unwindFactory(bool SummaryReuse) {
 inline SolverFactory portfolioFactory() {
   baselines::registerBuiltinEngines();
   return [](const corpus::BenchmarkProgram &P, double Timeout) {
-    solver::PortfolioOptions Opts;
-    Opts.Name = "LA-portfolio";
-    Opts.Base.DataDriven = corpus::defaultOptionsFor(P, Timeout);
-    Opts.Base.Smt.TimeoutSeconds = Timeout / 2;
-    Opts.Base.Limits.WallSeconds = Timeout;
-    Opts.Limits.WallSeconds = Timeout;
-    return std::make_unique<solver::PortfolioSolver>(Opts);
+    solver::EngineOptions Base;
+    Base.DataDriven = corpus::defaultOptionsFor(P, Timeout);
+    Base.Smt.TimeoutSeconds = Timeout / 2;
+    Base.Limits.WallSeconds = Timeout;
+    solver::Plan Race =
+        solver::racePlan(Base, solver::SolverRegistry::global());
+    Race.Name = "LA-portfolio";
+    return std::make_unique<solver::PlanSolver>(std::move(Race));
   };
 }
 

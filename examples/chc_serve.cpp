@@ -8,7 +8,7 @@
 //   $ ./chc_serve --workers 8 --queue 64 --budget 30
 //       [--isolation process] [--cache-dir /var/tmp/chc-cache]
 //       [--schedule staged] [--selector model.txt]
-//   solve job1 benchmarks/counter.smt2 engine=portfolio budget=10
+//   solve job1 benchmarks/counter.smt2 schedule=race budget=10
 //   metrics
 //   shutdown
 //
@@ -23,6 +23,7 @@
 // `--schedule staged|race|auto|single` sets the default per-request
 // schedule (requests override with `schedule=`); `--selector FILE` loads
 // a table-driven engine-selector model fit by `bench/fit_selector.py`.
+// Every schedule, in either isolation mode, stops at the request budget.
 //
 //===----------------------------------------------------------------------===//
 

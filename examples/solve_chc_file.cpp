@@ -7,15 +7,16 @@
 // arithmetic) and mini-C programs, auto-detecting the format:
 //
 //   $ ./solve_chc_file file.smt2
-//   $ ./solve_chc_file program.c --engine portfolio --budget 30
+//   $ ./solve_chc_file program.c --schedule race --budget 30
 //   $ ./solve_chc_file input.txt --format smt2 --schedule staged
 //
 // Flags (the old positional form `file [timeout] [engine]` still works):
 //
 //   --format auto|smt2|mini-c       input language (default: auto-detect)
 //   --engine <id>                   registry engine id: la (default),
-//                                   portfolio, analysis, spacer, gpdr, ...
-//   --budget <seconds>              wall-clock budget (default 60)
+//                                   analysis, spacer, gpdr, ...
+//   --budget <seconds>              wall-clock budget (default 60), a hard
+//                                   bound under every schedule
 //   --schedule single|race|staged|auto
 //                                   engine schedule: `single` runs exactly
 //                                   --engine, `race` the full portfolio,
@@ -25,11 +26,12 @@
 //                                   runs (fit by bench/fit_selector.py)
 //
 // Prints sat/unsat/unknown plus the witness, mirroring `z3
-// fp.engine=spacer file.smt2` usage. "portfolio" races the registered
-// engines in parallel and reports the first definitive answer. Flags are
-// assembled through `SolveOptionsBuilder`, so contradictions (an explicit
-// --engine under --schedule race) are rejected up front with a message
-// instead of silently running something else.
+// fp.engine=spacer file.smt2` usage. `--schedule race` races the
+// registered engines in parallel and reports the first definitive answer;
+// `; lane` lines list every lane in start order. Flags are assembled
+// through `SolveOptionsBuilder`, so contradictions (an explicit --engine
+// under --schedule race) are rejected up front with a message instead of
+// silently running something else.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,7 +66,7 @@ int usage(const char *Prog) {
 
 int main(int Argc, char **Argv) {
   // Make the baseline engines (pdr/spacer, unwind/duality, pie, dig, ...)
-  // available by name next to the built-in la/analysis/portfolio.
+  // available by name next to the built-in la/analysis.
   baselines::registerBuiltinEngines();
 
   solver::SolveRequest Request;
@@ -161,8 +163,8 @@ int main(int Argc, char **Argv) {
     fprintf(stderr, "; stage %c %-8s budget %.3fs spent %.3fs %s\n",
             Stage.Hit ? '*' : ' ', Stage.Stage.c_str(), Stage.BudgetSeconds,
             Stage.Seconds, toString(Stage.Status));
-  // Per-lane reports (one line for single-engine runs, one per lane for the
-  // portfolio; * winner, ! crashed, ~ cancelled).
+  // Per-lane reports in start order (one line for single-engine runs, one
+  // per race or stage lane; * winner, ! crashed, ~ cancelled).
   for (const solver::EngineReport &R : S.Engines)
     fprintf(stderr, "; lane %c %-12s %-8s %.3fs%s%s\n",
             R.Winner ? '*' : R.Crashed ? '!' : R.Cancelled ? '~' : ' ',

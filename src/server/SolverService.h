@@ -116,7 +116,7 @@ struct ServiceMetrics {
   /// Definitive verdicts per second of service uptime.
   double SolvedPerSecond = 0;
   double UptimeSeconds = 0;
-  /// Definitive-verdict counts per engine id ("la", "portfolio", ...).
+  /// Definitive-verdict counts per requested engine id ("la", "pdr", ...).
   std::vector<std::pair<std::string, uint64_t>> EngineWins;
 
   /// Multi-line human-readable report (the daemon's `metrics` reply).

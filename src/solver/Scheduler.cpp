@@ -6,8 +6,6 @@
 
 #include "solver/Scheduler.h"
 
-#include "support/Timer.h"
-
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -321,207 +319,4 @@ TableSelector::loadFile(const std::string &Path, std::string &Error) {
   if (!parse(Text.str(), *Out, Error))
     return nullptr;
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// StagedSolver
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Wall budget for the probe / top-k stages when the overall solve is
-/// unlimited: stages must still terminate so escalation can happen.
-constexpr double UnlimitedStageSeconds = 30.0;
-
-} // namespace
-
-StagedSolver::StagedSolver(ScheduleOptions Schedule, PortfolioOptions Lanes)
-    : Schedule(std::move(Schedule)), Opts(std::move(Lanes)) {}
-
-ChcSolverResult StagedSolver::solve(const ChcSystem &System) {
-  Timer Total;
-  Reports.clear();
-  Stages.clear();
-  Features = ProblemFeatures::fromSystem(System);
-  Probe = analysis::AnalysisResult::allLive(System);
-  Escalated = false;
-  SolvedByProbe = false;
-
-  const SolverRegistry &Registry =
-      Opts.Registry ? *Opts.Registry : SolverRegistry::global();
-  Budget Limits = Opts.Limits.resolvedOver(Opts.Base.Limits);
-  const double Wall = Limits.WallSeconds;
-  auto Remaining = [&] {
-    return Wall > 0 ? std::max(0.0, Wall - Total.elapsedSeconds()) : 0.0;
-  };
-  auto Expired = [&] {
-    return (Wall > 0 && Total.elapsedSeconds() >= Wall) ||
-           isCancelled(Opts.Base.Cancel);
-  };
-
-  ChcSolverResult Final(System.termManager());
-
-  // Stage 1: analysis-only probe. Runs the data-driven engine directly (not
-  // through the registry) so the pipeline result is readable afterwards —
-  // it both completes the feature vector and may discharge the system.
-  {
-    double ProbeLo = std::min({Schedule.MinProbeSeconds,
-                               Schedule.MaxProbeSeconds, Wall > 0 ? Wall : 1e18});
-    double ProbeBudget =
-        Wall > 0 ? std::clamp(Schedule.ProbeFraction * Wall, ProbeLo,
-                              Schedule.MaxProbeSeconds)
-                 : Schedule.MaxProbeSeconds;
-    DataDrivenOptions DO = Opts.Base.DataDriven;
-    DO.AnalysisOnly = true;
-    DO.EnableAnalysis = true;
-    DO.Limits.WallSeconds = ProbeBudget;
-    DO.Cancel = Opts.Base.Cancel;
-    DO.Name = "analysis";
-
-    Timer StageClock;
-    DataDrivenChcSolver Prober(DO);
-    ChcSolverResult ProbeRes = Prober.solve(System);
-    Probe = Prober.analysisResult();
-    Features.addAnalysis(Probe);
-
-    EngineReport R;
-    R.Lane = "probe:analysis";
-    R.Engine = "analysis";
-    R.Name = Prober.name();
-    R.Status = ProbeRes.Status;
-    R.Stats = ProbeRes.Stats;
-    R.LaneIndex = 0;
-    R.Seconds = StageClock.elapsedSeconds();
-    R.StopSeconds = Total.elapsedSeconds();
-
-    StageReport S;
-    S.Stage = "probe";
-    S.Engines = {R.Lane};
-    S.BudgetSeconds = ProbeBudget;
-    S.Seconds = StageClock.elapsedSeconds();
-    S.Status = ProbeRes.Status;
-    S.Hit = ProbeRes.Status != ChcResult::Unknown;
-
-    if (S.Hit) {
-      R.Winner = true;
-      SolvedByProbe = true;
-      Final = std::move(ProbeRes);
-    }
-    Reports.push_back(std::move(R));
-    Stages.push_back(std::move(S));
-    if (SolvedByProbe || Expired()) {
-      Final.Stats.Seconds = Total.elapsedSeconds();
-      return Final;
-    }
-  }
-
-  // Appends one finished stage's lane reports, shifted onto the staged
-  // solve's clock and renumbered into the global start order.
-  auto appendStageReports = [&](const PortfolioSolver &P, double StageStart,
-                                const std::string &Prefix) {
-    size_t Base = Reports.size();
-    std::vector<EngineReport> StageReports = P.reports();
-    // Portfolio reports are label-sorted; LaneIndex restores start order.
-    std::sort(StageReports.begin(), StageReports.end(),
-              [](const EngineReport &A, const EngineReport &B) {
-                return A.LaneIndex < B.LaneIndex;
-              });
-    std::vector<std::string> Labels;
-    for (EngineReport &R : StageReports) {
-      R.Lane = Prefix + R.Lane;
-      R.LaneIndex += Base;
-      R.QueuedSeconds += StageStart;
-      R.StartSeconds += StageStart;
-      R.StopSeconds += StageStart;
-      Labels.push_back(R.Lane);
-      Reports.push_back(std::move(R));
-    }
-    return Labels;
-  };
-
-  // Runs one portfolio stage over \p Lanes under \p StageBudget and records
-  // it; returns the stage's result.
-  auto runStage = [&](const std::string &StageName, double StageBudget,
-                      std::vector<PortfolioLane> Lanes,
-                      const std::string &Prefix) {
-    PortfolioOptions PO = Opts;
-    PO.Name = "staged";
-    PO.Lanes = std::move(Lanes);
-    PO.Limits = Budget{StageBudget, Limits.MaxIterations};
-    // Give each lane the stage budget as its soft engine deadline too, so
-    // engines stop on their own instead of waiting for the hard cancel.
-    for (PortfolioLane &L : PO.Lanes)
-      L.Opts.Limits.WallSeconds = StageBudget;
-    PO.Base.Limits.WallSeconds = StageBudget;
-
-    double StageStart = Total.elapsedSeconds();
-    Timer StageClock;
-    PortfolioSolver P(PO);
-    ChcSolverResult Res = P.solve(System);
-
-    StageReport S;
-    S.Stage = StageName;
-    S.Engines = appendStageReports(P, StageStart, Prefix);
-    S.BudgetSeconds = StageBudget;
-    S.Seconds = StageClock.elapsedSeconds();
-    S.Status = Res.Status;
-    S.Hit = Res.Status != ChcResult::Unknown;
-    Stages.push_back(std::move(S));
-    return Res;
-  };
-
-  // Stage 2: the selector's top-k engines under the staged budget slice.
-  {
-    const EngineSelector *Selector = Schedule.Selector.get();
-    RuleSelector Rules;
-    if (Selector == nullptr)
-      Selector = &Rules;
-    std::vector<EngineInfo> Candidates = Registry.selectable();
-    // Probe-class engines already ran as stage 1; rerunning the analysis
-    // in a lane cannot produce a new answer.
-    std::erase_if(Candidates, [](const EngineInfo &E) {
-      return E.TypicalCost == CostClass::Probe;
-    });
-    std::vector<RankedEngine> Ranked = Selector->rank(Features, Candidates);
-    if (Ranked.size() > std::max<size_t>(Schedule.TopK, 1))
-      Ranked.resize(std::max<size_t>(Schedule.TopK, 1));
-
-    if (!Ranked.empty()) {
-      double StageBudget =
-          Wall > 0 ? std::min(Schedule.StagedFraction * Wall, Remaining())
-                   : UnlimitedStageSeconds;
-      std::vector<PortfolioLane> Lanes;
-      for (const RankedEngine &R : Ranked)
-        Lanes.push_back({R.Id, R.Id.str(), Opts.Base});
-      ChcSolverResult Res = runStage("top-k", StageBudget, std::move(Lanes),
-                                     "top:");
-      if (Res.Status != ChcResult::Unknown) {
-        Final = std::move(Res);
-        Final.Stats.Seconds = Total.elapsedSeconds();
-        return Final;
-      }
-    }
-    if (Expired()) {
-      Final.Stats.Seconds = Total.elapsedSeconds();
-      return Final;
-    }
-  }
-
-  // Stage 3: escalate to the full default race with whatever budget
-  // remains. This is why staged scheduling can never solve less than the
-  // race — only later.
-  {
-    Escalated = true;
-    double StageBudget = Wall > 0 ? Remaining() : 0;
-    EngineOptions Base = Opts.Base;
-    Base.Limits.WallSeconds = StageBudget;
-    std::vector<PortfolioLane> Lanes =
-        PortfolioSolver::defaultLanes(Base, Registry);
-    ChcSolverResult Res =
-        runStage("race", StageBudget, std::move(Lanes), "race:");
-    if (Res.Status != ChcResult::Unknown)
-      Final = std::move(Res);
-  }
-  Final.Stats.Seconds = Total.elapsedSeconds();
-  return Final;
 }

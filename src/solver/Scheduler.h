@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The scheduling layer between the façade / solver service and the
-/// portfolio. Racing every registered engine on every request matches the
-/// paper's evaluation setup but burns cores linearly in engine count; a
-/// CHCVerif-style selection/scheduling layer matches the full-race solve
-/// rate at a fraction of the core-seconds:
+/// The engine-selection layer under the staged plan. Racing every
+/// registered engine on every request matches the paper's evaluation setup
+/// but burns cores linearly in engine count; a CHCVerif-style
+/// selection/scheduling layer matches the full-race solve rate at a
+/// fraction of the core-seconds:
 ///
 ///   * `ProblemFeatures` is a cheap feature vector over the input system —
 ///     structural counts straight off the clauses, plus the pre-analysis
@@ -20,17 +20,17 @@
 ///     descriptors (`EngineInfo`); `TableSelector` is a per-engine linear
 ///     model fit offline from `BENCH_table1.json` lane reports by
 ///     `bench/fit_selector.py`;
-///   * `StagedSolver` replaces the single shared race budget with a staged
-///     schedule: a cheap analysis-only probe first, then the selector's
-///     top-k engines under a staggered budget, escalating to the full race
-///     only when everything before it answered `unknown`.
+///   * the staged plan (`stagedPlan` in Plan.h) runs a cheap analysis-only
+///     probe first, then the selector's top-k engines under a staggered
+///     budget, escalating to the full race only when everything before it
+///     answered `unknown`.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LA_SOLVER_SCHEDULER_H
 #define LA_SOLVER_SCHEDULER_H
 
-#include "solver/Portfolio.h"
+#include "solver/SolverRegistry.h"
 
 #include <optional>
 
@@ -169,81 +169,13 @@ private:
   RuleSelector Fallback;
 };
 
-/// Configuration of the staged schedule.
+/// The schedule policy plus its staged-mode settings.
 struct ScheduleOptions {
   SchedulePolicy Policy = SchedulePolicy::Single;
-  /// Engines racing in the selected stage.
+  /// Engines racing in the top-k stage.
   size_t TopK = 2;
-  /// Share of the wall budget spent on the analysis-only probe, clamped to
-  /// [MinProbeSeconds, MaxProbeSeconds]. The probe doubles as feature
-  /// extraction: its pipeline result feeds the selector for free.
-  double ProbeFraction = 0.15;
-  double MinProbeSeconds = 0.5;
-  double MaxProbeSeconds = 10;
-  /// Share of the wall budget for the top-k stage; whatever remains after
-  /// probe + top-k funds the escalation race.
-  double StagedFraction = 0.35;
   /// Ranking engine; null means the rule baseline.
   std::shared_ptr<const EngineSelector> Selector;
-};
-
-/// Per-stage record of one staged solve, surfaced through
-/// `SolveResult::Stages` and the service's stage-hit/escalation metrics.
-struct StageReport {
-  std::string Stage; ///< "probe", "top-k", "race".
-  std::vector<std::string> Engines; ///< Lane labels the stage ran.
-  double BudgetSeconds = 0; ///< Wall budget granted (0 = unlimited).
-  double Seconds = 0;       ///< Wall clock actually spent.
-  chc::ChcResult Status = chc::ChcResult::Unknown;
-  bool Hit = false; ///< This stage produced the definitive answer.
-};
-
-/// The staged scheduling engine. Runs up to three stages against one
-/// deadline:
-///
-///   1. *probe*: the data-driven engine in analysis-only mode under a small
-///      budget slice. A `ProvedSat` discharge ends the solve; either way
-///      the pipeline counters complete the feature vector.
-///   2. *top-k*: the selector's best k concrete engines race under the
-///      staged budget slice (a one-lane "race" for k=1).
-///   3. *race*: only on `unknown` — the full default lane set under
-///      whatever budget remains, so staged scheduling can never answer less
-///      than the race, only later.
-///
-/// Stage lanes get stage-prefixed labels ("probe:analysis", "top:la",
-/// "race:pdr"), and their report timestamps are shifted onto the staged
-/// solve's clock, so the merged `reports()` list reads as one timeline.
-class StagedSolver : public chc::ChcSolverInterface {
-public:
-  /// \p Lanes carries the shared base options, limits, isolation mode and
-  /// registry (its `Lanes` field is ignored — stages pick their own).
-  StagedSolver(ScheduleOptions Schedule, PortfolioOptions Lanes);
-
-  chc::ChcSolverResult solve(const chc::ChcSystem &System) override;
-  std::string name() const override { return "staged"; }
-
-  /// Per-lane records across all executed stages (stage-prefixed labels).
-  const std::vector<EngineReport> &reports() const { return Reports; }
-  /// Per-stage records, in execution order.
-  const std::vector<StageReport> &stages() const { return Stages; }
-  /// The feature vector the selection ran on.
-  const ProblemFeatures &features() const { return Features; }
-  /// The probe's pre-analysis outcome (pass stats for the façade).
-  const analysis::AnalysisResult &probeAnalysis() const { return Probe; }
-  /// True when the escalation race stage was entered.
-  bool escalated() const { return Escalated; }
-  /// True when the probe alone discharged the system.
-  bool solvedByProbe() const { return SolvedByProbe; }
-
-private:
-  ScheduleOptions Schedule;
-  PortfolioOptions Opts;
-  std::vector<EngineReport> Reports;
-  std::vector<StageReport> Stages;
-  ProblemFeatures Features;
-  analysis::AnalysisResult Probe;
-  bool Escalated = false;
-  bool SolvedByProbe = false;
 };
 
 } // namespace la::solver

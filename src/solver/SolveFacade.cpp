@@ -20,6 +20,7 @@
 
 using namespace la;
 using namespace la::chc;
+using namespace la::solver::wire;
 
 const char *solver::toString(SourceFormat F) {
   switch (F) {
@@ -95,9 +96,9 @@ std::string solver::SolveResult::summary() const {
   }
   if (FromDiskCache)
     Out += " [disk-cache]";
-  // Per-lane block for portfolio runs — and for any run with a killed or
-  // crashed lane, so isolation events are never silent. `Engines` is sorted
-  // by lane label, so the rendering is deterministic regardless of
+  // Per-lane block for race and staged runs — and for any run with a killed
+  // or crashed lane, so isolation events are never silent. `Engines` is in
+  // start order, so the rendering is deterministic regardless of
   // completion order.
   bool AnyAbnormal =
       std::any_of(Engines.begin(), Engines.end(), [](const EngineReport &R) {
@@ -145,86 +146,34 @@ solver::SolveResult solver::solveSystem(const ChcSystem &System,
   EO.Cancel = Opts.Cancel;
   EO.DataDriven = Opts.Solver;
   // The persistent clause-verdict tier rides inside the data-driven
-  // options, so every lane (and the bare "la"/"analysis" engines) shares
-  // one disk cache.
+  // options, so every lane shares one disk cache.
   EO.DataDriven.CheckCache = Opts.DiskCache;
   // Non-data-driven engines share the data-driven SMT budget by default.
   EO.Smt = Opts.Solver.Smt;
 
-  // Resolve the schedule policy first: `auto` means staged when there is a
-  // real engine choice to make, the plain race otherwise.
+  // `auto` means staged when there is a real engine choice to make, the
+  // plain race otherwise.
   SchedulePolicy Policy = Opts.Schedule.Policy;
   if (Policy == SchedulePolicy::Auto)
     Policy = Registry.selectable().size() >= 2 ? SchedulePolicy::Staged
                                                : SchedulePolicy::Race;
-
-  std::unique_ptr<ChcSolverInterface> Solver;
-  bool SingleLaneWrapper = false;
+  Plan P;
   if (Policy == SchedulePolicy::Staged) {
-    // Built directly (not via the registry "staged" id) so the schedule
-    // knobs, custom portfolio settings and isolation mode all survive.
-    PortfolioOptions PO = Opts.Portfolio;
-    PO.Lanes.clear(); // stages pick their own lanes
-    PO.Base = EO;
-    PO.Limits = PO.Limits.resolvedOver(Opts.Limits);
-    if (Opts.Isolate == Isolation::Process)
-      PO.Isolate = Isolation::Process;
-    Solver = std::make_unique<StagedSolver>(Opts.Schedule, std::move(PO));
-  } else if (Policy == SchedulePolicy::Race ||
-             Opts.Engine == EngineId("portfolio")) {
-    // Build the portfolio directly so custom lanes in `Opts.Portfolio`
-    // survive; the registry path would drop them.
-    PortfolioOptions PO = Opts.Portfolio;
-    PO.Base = EO;
-    PO.Limits = PO.Limits.resolvedOver(Opts.Limits);
-    if (Opts.Isolate == Isolation::Process)
-      PO.Isolate = Isolation::Process;
-    Solver = std::make_unique<PortfolioSolver>(std::move(PO));
-  } else if (Opts.Isolate == Isolation::Process) {
-    // Single engine under process isolation: a one-lane portfolio gives the
-    // fork/rlimit/kill machinery and the report classification for free.
-    if (!Registry.contains(Opts.Engine)) {
-      Out.Error = unknownEngineError(Registry, Opts.Engine);
-      return Out;
-    }
-    PortfolioOptions PO = Opts.Portfolio;
-    PO.Lanes = {{Opts.Engine, Opts.Engine.str(), {}}};
-    PO.Isolate = Isolation::Process;
-    PO.Base = EO;
-    PO.Limits = PO.Limits.resolvedOver(Opts.Limits);
-    PO.Name = Opts.Engine.str();
-    Solver = std::make_unique<PortfolioSolver>(std::move(PO));
-    SingleLaneWrapper = true;
+    P = stagedPlan(EO, Opts.Schedule.TopK, Opts.Schedule.Selector, Registry);
+  } else if (Policy == SchedulePolicy::Race) {
+    P = racePlan(EO, Registry);
+  } else if (Registry.contains(Opts.Engine)) {
+    P = singlePlan(Opts.Engine, EO);
   } else {
-    Solver = Registry.create(Opts.Engine, EO);
-    if (!Solver) {
-      Out.Error = unknownEngineError(Registry, Opts.Engine);
-      return Out;
-    }
-  }
-  Out.Ok = true;
-  Out.SolverName = Solver->name();
-
-  ChcSolverResult R(System.termManager());
-  try {
-    R = Solver->solve(System);
-  } catch (const std::exception &E) {
-    // An engine throw must never escape the façade — in the daemon this is
-    // the difference between one failed request and a dead worker. The
-    // verdict stays Unknown and the report keeps the engine's own words.
-    const char *What = E.what();
-    EngineReport Rep;
-    Rep.Lane = Opts.Engine.str();
-    Rep.Engine = Opts.Engine.str();
-    Rep.Name = Out.SolverName;
-    Rep.Crashed = true;
-    Rep.Outcome = LaneOutcome::Failed;
-    Rep.Error = (What != nullptr && *What != '\0')
-                    ? What
-                    : "engine threw an exception with no message";
-    Out.Engines.push_back(std::move(Rep));
+    Out.Error = unknownEngineError(Registry, Opts.Engine);
     return Out;
   }
+  P.Isolate = Opts.Isolate;
+
+  PlanSolver Solver(std::move(P));
+  ChcSolverResult R = Solver.solve(System);
+  Out.Ok = true;
+  Out.SolverName = Solver.name();
   Out.Status = R.Status;
   Out.Solver = R.Stats;
   if (R.Status == ChcResult::Sat) {
@@ -235,35 +184,12 @@ solver::SolveResult solver::solveSystem(const ChcSystem &System,
   }
   if (R.Status == ChcResult::Unsat && R.Cex)
     Out.Cex = R.Cex->toString(System);
-
-  if (auto *Staged = dynamic_cast<StagedSolver *>(Solver.get())) {
-    Out.Engines = Staged->reports();
-    Out.Stages = Staged->stages();
-    Out.Escalated = Staged->escalated();
-    Out.AnalysisPasses = Staged->probeAnalysis().Passes;
-    Out.SolvedByAnalysis = Staged->solvedByProbe();
-  } else if (auto *Portfolio = dynamic_cast<PortfolioSolver *>(Solver.get())) {
-    Out.Engines = Portfolio->reports();
-    // The implicit single-lane wrapper should read like the engine it ran:
-    // surface the child-reported display name, not the wrapper's.
-    if (SingleLaneWrapper && Out.Engines.size() == 1 &&
-        !Out.Engines[0].Name.empty())
-      Out.SolverName = Out.Engines[0].Name;
-  } else {
-    if (auto *DataDriven = dynamic_cast<DataDrivenChcSolver *>(Solver.get())) {
-      Out.AnalysisPasses = DataDriven->analysisResult().Passes;
-      Out.SolvedByAnalysis = DataDriven->detailedStats().SolvedByAnalysis;
-    }
-    EngineReport Rep;
-    Rep.Lane = Opts.Engine.str();
-    Rep.Engine = Opts.Engine.str();
-    Rep.Name = Out.SolverName;
-    Rep.Status = R.Status;
-    Rep.Winner = R.Status != ChcResult::Unknown;
-    Rep.Seconds = R.Stats.Seconds;
-    Rep.Stats = R.Stats;
-    Out.Engines.push_back(std::move(Rep));
-  }
+  Out.Engines = Solver.reports();
+  if (Policy == SchedulePolicy::Staged)
+    Out.Stages = Solver.stages();
+  Out.Escalated = Solver.escalated();
+  Out.AnalysisPasses = Solver.analysis().Passes;
+  Out.SolvedByAnalysis = Solver.solvedByAnalysis();
   return Out;
 }
 
@@ -280,11 +206,6 @@ solver::SolveOptionsBuilder::Validated solver::SolveOptionsBuilder::build()
     V.Error = "staged scheduling needs top-k >= 1";
     return V;
   }
-  if (Opts.Schedule.ProbeFraction < 0 || Opts.Schedule.ProbeFraction > 1 ||
-      Opts.Schedule.StagedFraction < 0 || Opts.Schedule.StagedFraction > 1) {
-    V.Error = "probe/staged budget fractions must lie in [0, 1]";
-    return V;
-  }
   if (CrashEngines && Opts.Isolate != Isolation::Process) {
     V.Error = "crash engines require process isolation "
               "(--isolation process): a thread-mode segfault kills the "
@@ -292,8 +213,7 @@ solver::SolveOptionsBuilder::Validated solver::SolveOptionsBuilder::build()
     return V;
   }
   if (EngineExplicit && ScheduleExplicit &&
-      Opts.Schedule.Policy != SchedulePolicy::Single &&
-      Opts.Engine != EngineId("portfolio")) {
+      Opts.Schedule.Policy != SchedulePolicy::Single) {
     V.Error = "an explicit engine ('" + Opts.Engine.str() +
               "') contradicts schedule policy '" +
               toString(Opts.Schedule.Policy) +
@@ -336,71 +256,6 @@ std::string verdictCacheKey(const ChcSystem &System,
          Opts.Engine.str() + "|" + Policy + "|b" +
          std::to_string(budgetBucket(Opts.Limits.WallSeconds)) + "|" +
          (Opts.ValidateModel ? "val" : "noval");
-}
-
-void putBlock(std::string &Out, const char *Tag, const std::string &Text) {
-  Out += Tag;
-  Out += ' ';
-  Out += std::to_string(Text.size());
-  Out += '\n';
-  Out += Text;
-  Out += '\n';
-}
-
-bool getBlock(std::istream &In, const char *Tag, std::string &Out) {
-  std::string Word;
-  size_t Len = 0;
-  if (!(In >> Word) || Word != Tag || !(In >> Len) || In.get() != '\n')
-    return false;
-  if (Len > (size_t(1) << 28))
-    return false;
-  Out.resize(Len);
-  if (Len > 0 && !In.read(Out.data(), static_cast<std::streamsize>(Len)))
-    return false;
-  return In.get() == '\n';
-}
-
-void putStats(std::string &Out, const EngineStats &S) {
-  const CheckStats &C = S.Check;
-  char Buf[512];
-  snprintf(Buf, sizeof(Buf),
-           "stats %zu %zu %zu %.6f %zu %zu %llu %llu %llu %llu %llu %llu "
-           "%llu %llu %llu %llu %llu\n",
-           S.SmtQueries, S.Samples, S.Iterations, S.Seconds, S.TemplatesMined,
-           S.PolyhedraFacts, static_cast<unsigned long long>(C.ChecksIssued),
-           static_cast<unsigned long long>(C.CacheHits),
-           static_cast<unsigned long long>(C.CacheMisses),
-           static_cast<unsigned long long>(C.CacheEvictions),
-           static_cast<unsigned long long>(C.ScopePushes),
-           static_cast<unsigned long long>(C.SolverRebuilds),
-           static_cast<unsigned long long>(C.RebuildsAvoided),
-           static_cast<unsigned long long>(C.ConjunctSplits),
-           static_cast<unsigned long long>(C.DiskHits),
-           static_cast<unsigned long long>(C.DiskMisses),
-           static_cast<unsigned long long>(C.DiskStores));
-  Out += Buf;
-}
-
-bool getStats(std::istream &In, EngineStats &S) {
-  std::string Word;
-  CheckStats &C = S.Check;
-  return static_cast<bool>(
-      (In >> Word) && Word == "stats" &&
-      (In >> S.SmtQueries >> S.Samples >> S.Iterations >> S.Seconds >>
-       S.TemplatesMined >> S.PolyhedraFacts >> C.ChecksIssued >> C.CacheHits >>
-       C.CacheMisses >> C.CacheEvictions >> C.ScopePushes >> C.SolverRebuilds >>
-       C.RebuildsAvoided >> C.ConjunctSplits >> C.DiskHits >> C.DiskMisses >>
-       C.DiskStores));
-}
-
-std::optional<ChcResult> parseStatus(const std::string &Word) {
-  if (Word == "sat")
-    return ChcResult::Sat;
-  if (Word == "unsat")
-    return ChcResult::Unsat;
-  if (Word == "unknown")
-    return ChcResult::Unknown;
-  return std::nullopt;
 }
 
 } // namespace

@@ -19,16 +19,17 @@
 /// `solveFile` / `solveChcText` / `solveSystem` are thin wrappers over the
 /// same path for callers that already hold a path, HORN text, or a built
 /// system. Engines are selected by registry id (`SolveOptions::Engine`):
-/// "la" (default), "analysis", "portfolio", or — after
+/// "la" (default), "analysis", or — after
 /// `baselines::registerBuiltinEngines()` — "pdr", "unwind" and friends.
 ///
-/// On top of the single-engine path sits the schedule policy
-/// (`SolveOptions::Schedule`): `race` runs the full portfolio, `staged`
-/// runs the probe → top-k → race escalation ladder of `StagedSolver`, and
-/// `auto` picks staged whenever at least two selectable engines are
-/// registered. `SolveOptionsBuilder` is the validated way to assemble all
-/// of this — it rejects contradictory combinations (an explicit engine
-/// under a portfolio policy, crash engines without process isolation)
+/// The schedule policy (`SolveOptions::Schedule`) picks the plan the
+/// executor runs (`solver/Plan.h`): `single` runs exactly the engine,
+/// `race` the full portfolio, `staged` the probe → top-k → race escalation
+/// ladder, and `auto` picks staged whenever at least two selectable
+/// engines are registered. Every plan honours the one wall budget in both
+/// isolation modes. `SolveOptionsBuilder` is the validated way to assemble
+/// all of this — it rejects contradictory combinations (an explicit engine
+/// under a race or staged policy, crash engines without process isolation)
 /// before any work starts.
 ///
 //===----------------------------------------------------------------------===//
@@ -36,8 +37,7 @@
 #ifndef LA_SOLVER_SOLVEFACADE_H
 #define LA_SOLVER_SOLVEFACADE_H
 
-#include "solver/Scheduler.h"
-#include "solver/SolverRegistry.h"
+#include "solver/Plan.h"
 
 #include <memory>
 #include <optional>
@@ -68,31 +68,25 @@ struct SolveOptions {
   /// iteration cap. Nonzero fields override engine defaults
   /// (`Budget::resolvedOver`); `{0, 0}` defers to them entirely.
   Budget Limits{60, 0};
-  /// Registry id of the engine to run ("la", "analysis", "portfolio",
-  /// "pdr", ...). Unknown ids fail the call with an error listing the
+  /// Registry id of the engine to run ("la", "analysis", "pdr", ...).
+  /// Unknown ids fail the call with an error listing the
   /// registered ids. Consulted only under the `Single` schedule policy —
   /// `race`/`staged`/`auto` pick their own engines.
   EngineId Engine{"la"};
-  /// Schedule policy plus its staged-mode knobs (top-k, budget fractions,
-  /// selector). `Single` (the default) preserves the legacy behavior of
-  /// running exactly `Engine`.
+  /// Schedule policy plus its staged-mode settings (top-k, selector).
+  /// `Single` (the default) runs exactly `Engine`.
   ScheduleOptions Schedule;
   /// Data-driven engine configuration (analysis options included), the base
-  /// of the "la"/"analysis" engines and of every portfolio lane.
+  /// of the "la"/"analysis" engines and of every race lane.
   DataDrivenOptions Solver;
-  /// Portfolio configuration, consulted only when `Engine == "portfolio"`
-  /// (its `Base`/`Limits` are filled in from the fields above).
-  PortfolioOptions Portfolio;
   /// Re-check a sat model clause by clause with `chc::checkInterpretation`.
   bool ValidateModel = true;
   /// Cooperative cancellation of the whole call.
   std::shared_ptr<const CancellationToken> Cancel;
-  /// Thread (default) runs engines in-process; Process forks each portfolio
-  /// lane — or the single selected engine — into a hard-killable child, so
+  /// Thread (default) runs engines in-process; Process forks every lane —
+  /// the single selected engine included — into a hard-killable child, so
   /// a segfaulting, aborting, or runaway engine cannot take the caller
-  /// down. Per-lane rlimits come from `Portfolio.LaneMemoryBytes` /
-  /// `Portfolio.LaneCpuSeconds` (they apply to the single-engine wrapper
-  /// too).
+  /// down.
   Isolation Isolate = Isolation::Thread;
   /// Disk-backed persistent result cache (shared across requests and
   /// daemon restarts). Two tiers hang off this one object: whole-request
@@ -116,7 +110,7 @@ public:
   explicit SolveOptionsBuilder(SolveOptions Base) : Opts(std::move(Base)) {}
 
   /// Selects a specific engine and forces the `Single` policy with it: an
-  /// explicit engine choice and a portfolio policy are contradictory, and
+  /// explicit engine choice and a race or staged policy are contradictory, and
   /// `build()` rejects the combination if `schedule()` says otherwise.
   SolveOptionsBuilder &engine(EngineId Id) {
     Opts.Engine = std::move(Id);
@@ -223,8 +217,8 @@ struct SolveResult {
 
   /// Winning engine's bookkeeping (queries, samples, iterations, seconds).
   chc::EngineStats Solver;
-  /// Per-engine records, sorted by lane label: one entry per portfolio
-  /// lane, or a single synthesized entry for a single-engine run.
+  /// Per-lane records in start order: one per race or stage lane, or the
+  /// one lane of a single-engine run.
   std::vector<EngineReport> Engines;
   /// Static pre-analysis counters, one entry per executed pass (empty when
   /// analysis is off or the engine bypasses it).

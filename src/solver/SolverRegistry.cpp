@@ -5,8 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "solver/SolverRegistry.h"
-#include "solver/Portfolio.h"
-#include "solver/Scheduler.h"
 
 #include <algorithm>
 
@@ -65,41 +63,9 @@ SolverRegistry::SolverRegistry() {
         [](const EngineOptions &EO) -> std::unique_ptr<chc::ChcSolverInterface> {
           DataDrivenOptions Opts = dataDrivenFrom(EO);
           Opts.AnalysisOnly = true;
+          Opts.EnableAnalysis = true;
           Opts.Name = "analysis";
           return std::make_unique<DataDrivenChcSolver>(std::move(Opts));
-        });
-  }
-  {
-    EngineInfo Info;
-    Info.Id = EngineId("portfolio");
-    Info.Description =
-        "parallel race of the registered engines, first answer wins";
-    Info.Deterministic = false; // the winner depends on lane timing
-    Info.TypicalCost = CostClass::Heavy;
-    Info.IsMeta = true;
-    add(std::move(Info),
-        [](const EngineOptions &EO) -> std::unique_ptr<chc::ChcSolverInterface> {
-          PortfolioOptions Opts;
-          Opts.Base = EO;
-          Opts.Limits = EO.Limits;
-          return std::make_unique<PortfolioSolver>(std::move(Opts));
-        });
-  }
-  {
-    EngineInfo Info;
-    Info.Id = EngineId("staged");
-    Info.Description =
-        "staged schedule: analysis probe, then top-k engines, then the race";
-    Info.Deterministic = false;
-    Info.TypicalCost = CostClass::Moderate;
-    Info.IsMeta = true;
-    add(std::move(Info),
-        [](const EngineOptions &EO) -> std::unique_ptr<chc::ChcSolverInterface> {
-          PortfolioOptions PO;
-          PO.Base = EO;
-          PO.Limits = EO.Limits;
-          return std::make_unique<StagedSolver>(ScheduleOptions{},
-                                                std::move(PO));
         });
   }
 }
@@ -145,8 +111,7 @@ SolverRegistry::create(const EngineId &Id, const EngineOptions &Opts) const {
       return nullptr;
     Make = It->second.Make;
   }
-  // Run the factory outside the lock: the portfolio and staged factories
-  // recurse into the registry to build their lanes.
+  // Run the factory outside the lock: a factory may consult the registry.
   return Make(Opts);
 }
 
@@ -172,18 +137,9 @@ std::vector<EngineInfo> SolverRegistry::selectable() const {
   std::vector<EngineInfo> Out;
   for (const auto &KV : Entries) {
     const Entry &E = KV.second;
-    if (E.IsAlias || E.Info.IsMeta || E.Info.IsDiagnostic)
+    if (E.IsAlias || E.Info.IsDiagnostic)
       continue;
     Out.push_back(E.Info);
   }
-  return Out;
-}
-
-std::vector<std::string> SolverRegistry::ids() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  std::vector<std::string> Out;
-  Out.reserve(Entries.size());
-  for (const auto &KV : Entries)
-    Out.push_back(KV.first.str());
   return Out;
 }

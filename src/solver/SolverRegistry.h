@@ -6,26 +6,22 @@
 ///
 /// \file
 /// The engine registry behind the façade, the CLI driver, the benchmark
-/// tables, the portfolio and the staged scheduler. An engine is a typed
-/// `EngineId` plus an `EngineInfo` capability descriptor plus a factory
-/// turning one `EngineOptions` blob into a ready `ChcSolverInterface`.
+/// tables and the plan executor. An engine is a typed `EngineId` plus an
+/// `EngineInfo` capability descriptor plus a factory turning one
+/// `EngineOptions` blob into a ready `ChcSolverInterface`.
 ///
-/// The capability descriptor is what replaced the stringly-typed id-only
-/// registry: the scheduler ranks engines by what they *can do*
-/// (supports-nonlinear, needs-analysis, deterministic, typical cost class)
-/// instead of by hard-coded name lists, and meta engines (portfolio,
-/// staged) and diagnostic engines (crash-*) declare themselves so no
-/// selector ever schedules a race inside a race or a deliberate segfault.
+/// The capability descriptor lets the scheduler rank engines by what they
+/// *can do* (supports-nonlinear, needs-analysis, deterministic, typical
+/// cost class) instead of by hard-coded name lists, and diagnostic engines
+/// (crash-*) declare themselves so no selector ever schedules a deliberate
+/// segfault. Races and staged schedules are plans (`solver/Plan.h`), not
+/// engines.
 ///
 /// The baselines register themselves via an explicit
 /// `baselines::registerBuiltinEngines()` call (static-initializer
 /// registration is unreliable from static libraries: the linker drops
 /// unreferenced object files). The data-driven engines ("la", "analysis")
-/// and the meta engines ("portfolio", "staged") are always present.
-///
-/// The string-keyed `add`/`contains`/`create`/`ids`/`description` overloads
-/// are deprecated shims kept for exactly one PR; every in-tree caller uses
-/// the typed API.
+/// are always present.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,9 +84,6 @@ struct EngineInfo {
   /// Same input + seed => same verdict and witness.
   bool Deterministic = true;
   CostClass TypicalCost = CostClass::Moderate;
-  /// Composes other registry engines (portfolio, staged); never a
-  /// selector candidate — scheduling a race inside a race only burns cores.
-  bool IsMeta = false;
   /// Deliberately misbehaving test engine (crash-*); never selectable.
   bool IsDiagnostic = false;
 };
@@ -105,7 +98,7 @@ struct EngineOptions {
   /// SMT checks). The portfolio sets this per lane.
   std::shared_ptr<const CancellationToken> Cancel;
   /// Learner seed override for the data-driven engines (0 = engine
-  /// default). Portfolio lanes use distinct seeds to diversify.
+  /// default). Race lanes use distinct seeds to diversify.
   uint64_t Seed = 0;
   /// Base configuration for the data-driven engines ("la", "analysis" and
   /// derived lanes). Other engines ignore it.
@@ -125,7 +118,7 @@ public:
       const EngineOptions &)>;
 
   /// A fresh registry pre-populated with the built-in engines
-  /// ("la", "analysis", "portfolio", "staged").
+  /// ("la", "analysis").
   SolverRegistry();
 
   /// The process-wide registry used by `solveSystem` / `solveFile`.
@@ -156,43 +149,9 @@ public:
   /// Capability descriptor of \p Id (nullopt when unknown).
   std::optional<EngineInfo> info(const EngineId &Id) const;
 
-  /// The selector candidate set: every registered concrete engine —
-  /// aliases, meta engines and diagnostic engines excluded — sorted by id.
+  /// The selector candidate set: every registered engine — aliases and
+  /// diagnostic engines excluded — sorted by id.
   std::vector<EngineInfo> selectable() const;
-
-  // --- Deprecated stringly-typed shims (kept for one PR) ----------------
-
-  [[deprecated("use add(EngineInfo, Factory)")]] bool
-  add(const std::string &Id, const std::string &Description, Factory F) {
-    EngineInfo Info;
-    Info.Id = EngineId(Id);
-    Info.Description = Description;
-    return add(std::move(Info), std::move(F));
-  }
-
-  [[deprecated("use addAlias(EngineId, EngineId)")]] bool
-  addAlias(const std::string &Alias, const std::string &Target) {
-    return addAlias(EngineId(Alias), EngineId(Target));
-  }
-
-  [[deprecated("use contains(EngineId)")]] bool
-  contains(const std::string &Id) const {
-    return contains(EngineId(Id));
-  }
-
-  [[deprecated("use create(EngineId, EngineOptions)")]] std::
-      unique_ptr<chc::ChcSolverInterface>
-      create(const std::string &Id, const EngineOptions &Opts = {}) const {
-    return create(EngineId(Id), Opts);
-  }
-
-  [[deprecated("use engineIds()")]] std::vector<std::string> ids() const;
-
-  [[deprecated("use info(EngineId)")]] std::string
-  description(const std::string &Id) const {
-    std::optional<EngineInfo> I = info(EngineId(Id));
-    return I ? I->Description : std::string();
-  }
 
 private:
   struct Entry {

@@ -11,17 +11,20 @@
 ///     cap) that used to be duplicated as per-engine `TimeoutSeconds` /
 ///     `MaxIterations` / `MaxObligations` fields;
 ///   * `CancellationToken` is a shared atomic flag for cooperative
-///     cancellation. The portfolio engine hands one token to every lane and
-///     trips it when a lane produces a definitive answer; engines poll it at
-///     their loop heads (CEGAR iterations, PDR obligations, unwinding steps)
-///     and the SMT solver polls it at every theory check, so cancellation
-///     latency is bounded by one propagation round, not by a wall-clock
-///     poll interval.
+///     cancellation. The plan executor hands one token to every lane of a
+///     stage and trips it when a lane produces a definitive answer; the
+///     token also reads as tripped once the stage deadline passes or the
+///     caller's token trips. Engines poll it at their loop heads (CEGAR
+///     iterations, PDR obligations, unwinding steps) and the SMT solver
+///     polls it at every theory check, so cancellation latency is bounded
+///     by one propagation round, not by a wall-clock poll interval.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LA_SUPPORT_CANCELLATION_H
 #define LA_SUPPORT_CANCELLATION_H
+
+#include "support/Timer.h"
 
 #include <atomic>
 #include <cstddef>
@@ -56,13 +59,24 @@ struct Budget {
 /// the token never resets, so late pollers always observe it.
 class CancellationToken {
 public:
+  CancellationToken() = default;
+  /// A token that also reads as cancelled once \p Parent is, or once
+  /// \p Seconds have passed (non-positive = no deadline). Pollers see a
+  /// deadline or a caller's cancellation without any thread relaying it.
+  CancellationToken(std::shared_ptr<const CancellationToken> Parent,
+                    double Seconds)
+      : Parent(std::move(Parent)), Limit(Seconds) {}
+
   void cancel() noexcept { Flag.store(true, std::memory_order_release); }
   bool cancelled() const noexcept {
-    return Flag.load(std::memory_order_acquire);
+    return Flag.load(std::memory_order_acquire) ||
+           (Parent && Parent->cancelled()) || Limit.expired();
   }
 
 private:
   std::atomic<bool> Flag{false};
+  std::shared_ptr<const CancellationToken> Parent;
+  Deadline Limit;
 };
 
 /// Null-tolerant poll helper: engine option structs carry the token as a

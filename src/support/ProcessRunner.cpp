@@ -73,6 +73,13 @@ void applyRlimits(const ProcessLimits &Limits) {
 [[noreturn]] void runChild(int Fd, const std::function<std::string()> &Work,
                            const ProcessLimits &Limits) {
   applyRlimits(Limits);
+  // Keep only the standard streams and this child's own pipe end. When two
+  // lanes fork at once, each child inherits the other's pipe write end;
+  // held open here it would hide the sibling's EOF until this child dies.
+  auto Own = static_cast<unsigned>(Fd);
+  if (Own > 3)
+    ::close_range(3, Own - 1, 0);
+  ::close_range(Own + 1, ~0U, 0);
   std::string Payload;
   int Code = ExitOk;
   try {
@@ -100,6 +107,15 @@ void applyRlimits(const ProcessLimits &Limits) {
 
 /// Why the parent sent SIGKILL, if it did.
 enum class KillReason { None, Deadline, Cancelled };
+
+/// True when the child has already terminated on its own; it stays
+/// reapable, so the final `waitpid` still sees how it ended.
+bool alreadyExited(pid_t Pid) {
+  siginfo_t Info{};
+  int Flags = WEXITED | WNOHANG | WNOWAIT;
+  return ::waitid(P_PID, static_cast<id_t>(Pid), &Info, Flags) == 0 &&
+         Info.si_pid == Pid;
+}
 
 } // namespace
 
@@ -193,11 +209,15 @@ runInChildProcess(const std::function<std::string()> &Work,
   char Buf[4096];
   for (;;) {
     if (Killed == KillReason::None) {
-      if (Limits.WallSeconds > 0 && Clock.elapsedSeconds() > Limits.WallSeconds) {
-        Killed = KillReason::Deadline;
-        ::kill(Pid, SIGKILL);
-      } else if (isCancelled(Cancel)) {
-        Killed = KillReason::Cancelled;
+      KillReason Why = KillReason::None;
+      if (Limits.WallSeconds > 0 && Clock.elapsedSeconds() > Limits.WallSeconds)
+        Why = KillReason::Deadline;
+      else if (isCancelled(Cancel))
+        Why = KillReason::Cancelled;
+      // A child that already died (say, on SIGABRT) is classified by its
+      // own end, not by a kill that came too late to matter.
+      if (Why != KillReason::None && !alreadyExited(Pid)) {
+        Killed = Why;
         ::kill(Pid, SIGKILL);
       }
     }

@@ -1,4 +1,4 @@
-//===- tests/PortfolioTest.cpp - Registry + portfolio engine tests --------===//
+//===- tests/PortfolioTest.cpp - Registry + plan executor tests -----------===//
 //
 // Part of the LinearArbitrary reproduction. MIT license.
 //
@@ -7,13 +7,14 @@
 #include "baselines/RegisterEngines.h"
 #include "chc/ChcParser.h"
 #include "corpus/Harness.h"
-#include "solver/Portfolio.h"
+#include "solver/Plan.h"
 #include "solver/SolveFacade.h"
 #include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -145,13 +146,16 @@ void addRealLaEngine(SolverRegistry &R) {
         });
 }
 
-PortfolioOptions stubPortfolio(const SolverRegistry &R,
-                               std::initializer_list<const char *> Engines) {
-  PortfolioOptions Opts;
-  Opts.Registry = &R;
+/// A one-stage plan racing \p Engines from the private registry \p R.
+Plan stubPlan(const SolverRegistry &R,
+              std::initializer_list<const char *> Engines) {
+  Plan P;
+  P.Registry = &R;
+  Stage Race;
   for (const char *E : Engines)
-    Opts.Lanes.push_back({EngineId(E), E, {}});
-  return Opts;
+    Race.Lanes.push_back({EngineId(E), E, {}});
+  P.Stages.push_back(std::move(Race));
+  return P;
 }
 
 //===----------------------------------------------------------------------===//
@@ -162,8 +166,6 @@ TEST(SolverRegistryTest, BuiltinsAndBaselinesRegistered) {
   SolverRegistry &R = SolverRegistry::global();
   EXPECT_TRUE(R.contains(EngineId("la")));
   EXPECT_TRUE(R.contains(EngineId("analysis")));
-  EXPECT_TRUE(R.contains(EngineId("portfolio")));
-  EXPECT_TRUE(R.contains(EngineId("staged")));
   baselines::registerBuiltinEngines();
   for (const char *Id :
        {"pdr", "spacer", "gpdr", "unwind", "duality", "interpolation", "pie",
@@ -184,9 +186,6 @@ TEST(SolverRegistryTest, CapabilityDescriptorsAndSelectableSet) {
   std::optional<EngineInfo> Pdr = R.info(EngineId("pdr"));
   ASSERT_TRUE(Pdr.has_value());
   EXPECT_EQ(Pdr->TypicalCost, CostClass::Heavy);
-  std::optional<EngineInfo> Portfolio = R.info(EngineId("portfolio"));
-  ASSERT_TRUE(Portfolio.has_value());
-  EXPECT_TRUE(Portfolio->IsMeta);
   std::optional<EngineInfo> Pie = R.info(EngineId("pie"));
   ASSERT_TRUE(Pie.has_value());
   EXPECT_TRUE(Pie->NeedsAnalysis);
@@ -196,11 +195,10 @@ TEST(SolverRegistryTest, CapabilityDescriptorsAndSelectableSet) {
   EXPECT_EQ(Spacer->TypicalCost, CostClass::Heavy);
   EXPECT_FALSE(R.info(EngineId("no-such-engine")).has_value());
 
-  // selectable() excludes aliases, meta engines and diagnostic engines.
+  // selectable() excludes aliases and diagnostic engines.
   std::vector<EngineInfo> Selectable = R.selectable();
   EXPECT_GE(Selectable.size(), 2u);
   for (const EngineInfo &E : Selectable) {
-    EXPECT_FALSE(E.IsMeta) << E.Id.str();
     EXPECT_FALSE(E.IsDiagnostic) << E.Id.str();
     EXPECT_NE(E.Id, EngineId("spacer")) << "aliases are not candidates";
     EXPECT_NE(E.Id, EngineId("duality")) << "aliases are not candidates";
@@ -225,7 +223,7 @@ TEST(SolverRegistryTest, FacadeRejectsUnknownEngine) {
   EXPECT_NE(S.Error.find("unknown engine"), std::string::npos);
   // The error names the available engines so callers can self-correct.
   EXPECT_NE(S.Error.find("la"), std::string::npos);
-  EXPECT_NE(S.Error.find("portfolio"), std::string::npos);
+  EXPECT_NE(S.Error.find("analysis"), std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//
@@ -238,12 +236,11 @@ TEST(PortfolioTest, DefinitiveAnswerBeatsUnknown) {
   parseInto(SafeCounterText, System);
   SolverRegistry R;
   addStubEngines(R);
-  PortfolioSolver Solver(
-      stubPortfolio(R, {"stub-unknown", "stub-sat", "stub-unknown"}));
+  PlanSolver Solver(stubPlan(R, {"stub-unknown", "stub-sat", "stub-unknown"}));
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Sat);
   ASSERT_EQ(Solver.reports().size(), 3u);
-  // Reports sorted by label; exactly one winner, the sat lane.
+  // Exactly one winner, the sat lane.
   size_t Winners = 0;
   for (const EngineReport &Rep : Solver.reports()) {
     if (Rep.Winner) {
@@ -263,7 +260,7 @@ TEST(PortfolioTest, FirstDefinitiveAnswerWinsAndCancelsSlowLane) {
   addStubEngines(R);
   // The unsat lane answers immediately; the 300ms sat lane must lose. (Both
   // are definitive: first-wins resolves the race, not a verdict priority.)
-  PortfolioSolver Solver(stubPortfolio(R, {"stub-slow-sat", "stub-unsat"}));
+  PlanSolver Solver(stubPlan(R, {"stub-slow-sat", "stub-unsat"}));
   Timer Wall;
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Unsat);
@@ -274,18 +271,44 @@ TEST(PortfolioTest, FirstDefinitiveAnswerWinsAndCancelsSlowLane) {
   EXPECT_LT(Wall.elapsedSeconds(), 10.0);
 }
 
-TEST(PortfolioTest, ReportsSortedByLaneLabel) {
+TEST(PortfolioTest, ReportsFollowStartOrder) {
+  // Race: reports keep the configured lane order, not completion order.
   TermManager TM;
   ChcSystem System(TM);
   parseInto(SafeCounterText, System);
   SolverRegistry R;
   addStubEngines(R);
-  PortfolioSolver Solver(stubPortfolio(
-      R, {"stub-unknown", "stub-sat", "stub-unsat", "stub-throw"}));
-  (void)Solver.solve(System);
-  ASSERT_EQ(Solver.reports().size(), 4u);
-  for (size_t I = 1; I < Solver.reports().size(); ++I)
-    EXPECT_LT(Solver.reports()[I - 1].Lane, Solver.reports()[I].Lane);
+  PlanSolver Race(
+      stubPlan(R, {"stub-unknown", "stub-sat", "stub-unsat", "stub-throw"}));
+  (void)Race.solve(System);
+  const std::vector<std::string> Order = {"stub-unknown", "stub-sat",
+                                          "stub-unsat", "stub-throw"};
+  ASSERT_EQ(Race.reports().size(), Order.size());
+  for (size_t I = 0; I < Order.size(); ++I) {
+    EXPECT_EQ(Race.reports()[I].Lane, Order[I]);
+    EXPECT_EQ(Race.reports()[I].LaneIndex, I);
+  }
+
+  // Staged: stage after stage, each stage's lanes in their configured
+  // order, numbered across the whole plan.
+  baselines::registerBuiltinEngines();
+  TermManager TM2;
+  ChcSystem Diverging(TM2);
+  parseInto(DivergingText, Diverging);
+  EngineOptions Base;
+  Base.Limits.WallSeconds = 2;
+  PlanSolver Staged(stagedPlan(Base, 2, nullptr, SolverRegistry::global()));
+  (void)Staged.solve(Diverging);
+  std::vector<std::string> Labels;
+  for (const StageReport &S : Staged.stages())
+    Labels.insert(Labels.end(), S.Engines.begin(), S.Engines.end());
+  ASSERT_GE(Staged.stages().size(), 2u);
+  ASSERT_EQ(Staged.reports().size(), Labels.size());
+  for (size_t I = 0; I < Labels.size(); ++I) {
+    EXPECT_EQ(Staged.reports()[I].Lane, Labels[I]);
+    EXPECT_EQ(Staged.reports()[I].LaneIndex, I);
+  }
+  EXPECT_EQ(Labels.front(), "probe:analysis");
 }
 
 //===----------------------------------------------------------------------===//
@@ -300,15 +323,15 @@ TEST(PortfolioTest, ThrowingLaneDoesNotSpoilTheRace) {
   SolverRegistry R;
   addStubEngines(R);
   addRealLaEngine(R);
-  PortfolioOptions PO = stubPortfolio(R, {"stub-throw", "la-real"});
-  PO.Limits.WallSeconds = 60;
-  PortfolioSolver Solver(PO);
+  Plan PO = stubPlan(R, {"stub-throw", "la-real"});
+  PO.Base.Limits.WallSeconds = 60;
+  PlanSolver Solver(PO);
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Sat);
   // The winner's model lives in the *input* manager and validates there.
   EXPECT_EQ(checkInterpretation(System, Res.Interp), ClauseStatus::Valid);
   ASSERT_EQ(Solver.reports().size(), 2u);
-  const EngineReport &Thrown = Solver.reports()[1];
+  const EngineReport &Thrown = Solver.reports()[0];
   ASSERT_EQ(Thrown.Engine, "stub-throw");
   EXPECT_TRUE(Thrown.Crashed);
   EXPECT_NE(Thrown.Error.find("stub blew up"), std::string::npos);
@@ -321,8 +344,8 @@ TEST(PortfolioTest, UnknownLaneIdIsContainedAsLaneError) {
   parseInto(SafeCounterText, System);
   SolverRegistry R;
   addStubEngines(R);
-  PortfolioOptions PO = stubPortfolio(R, {"no-such-engine", "stub-sat"});
-  PortfolioSolver Solver(PO);
+  Plan PO = stubPlan(R, {"no-such-engine", "stub-sat"});
+  PlanSolver Solver(PO);
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Sat);
   const EngineReport &Bad = Solver.reports()[0];
@@ -339,7 +362,7 @@ TEST(PortfolioTest, WinnerCancelsCooperativeLanesPromptly) {
   addStubEngines(R);
   // The waiting lane only returns once cancelled; the race must finish
   // quickly after the sat lane answers, bounding cancellation latency.
-  PortfolioSolver Solver(stubPortfolio(R, {"stub-wait", "stub-sat"}));
+  PlanSolver Solver(stubPlan(R, {"stub-wait", "stub-sat"}));
   Timer Wall;
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Sat);
@@ -362,9 +385,9 @@ TEST(PortfolioTest, CancellationReachesRealEngineInsideSmt) {
   SolverRegistry R;
   addStubEngines(R);
   addRealLaEngine(R);
-  PortfolioOptions PO = stubPortfolio(R, {"la-real", "stub-slow-sat"});
-  PO.Limits.WallSeconds = 60; // the budget is NOT what ends this race
-  PortfolioSolver Solver(PO);
+  Plan PO = stubPlan(R, {"la-real", "stub-slow-sat"});
+  PO.Base.Limits.WallSeconds = 60; // the budget is NOT what ends this race
+  PlanSolver Solver(PO);
   Timer Wall;
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Sat);
@@ -382,17 +405,73 @@ TEST(PortfolioTest, GlobalBudgetCancelsEveryLane) {
   parseInto(SafeCounterText, System);
   SolverRegistry R;
   addStubEngines(R);
-  PortfolioOptions PO = stubPortfolio(R, {"stub-wait", "stub-wait-2"});
-  PO.Lanes[1].Engine = EngineId("stub-wait");
-  PO.Lanes[1].Label = "stub-wait-2";
-  PO.Limits.WallSeconds = 0.2;
-  PortfolioSolver Solver(PO);
+  Plan PO = stubPlan(R, {"stub-wait", "stub-wait-2"});
+  PO.Stages[0].Lanes[1].Engine = EngineId("stub-wait");
+  PO.Stages[0].Lanes[1].Label = "stub-wait-2";
+  PO.Base.Limits.WallSeconds = 0.2;
+  PlanSolver Solver(PO);
   Timer Wall;
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Unknown);
   EXPECT_LT(Wall.elapsedSeconds(), 5.0);
   for (const EngineReport &Rep : Solver.reports())
     EXPECT_TRUE(Rep.Cancelled) << Rep.Lane;
+}
+
+//===----------------------------------------------------------------------===//
+// The wall budget is a hard bound on a single thread-mode engine
+//===----------------------------------------------------------------------===//
+
+TEST(PlanBudgetTest, SingleEngineStopsAtTheBudget) {
+  // A cooperative engine that never answers on its own: only the stage
+  // deadline, relayed through its token, can end it.
+  EngineInfo Info;
+  Info.Id = EngineId("stub-wait");
+  Info.Description = "spins until cancelled";
+  Info.IsDiagnostic = true; // never a selector candidate
+  SolverRegistry::global().add(
+      std::move(Info),
+      [](const EngineOptions &EO) -> std::unique_ptr<ChcSolverInterface> {
+        return std::make_unique<StubEngine>(StubEngine::Behavior::WaitCancel,
+                                            EO.Cancel, 0);
+      });
+  // Safety net: a regression fails the timing check instead of hanging.
+  auto Safety = std::make_shared<CancellationToken>();
+  std::atomic<bool> Done{false};
+  std::thread Net([&] {
+    for (int I = 0; I < 1000 && !Done; ++I)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Safety->cancel();
+  });
+  SolveOptions Opts;
+  Opts.Engine = EngineId("stub-wait");
+  Opts.Schedule.Policy = SchedulePolicy::Single;
+  Opts.Limits.WallSeconds = 0.3;
+  Opts.Cancel = Safety;
+  Timer Wall;
+  SolveResult S = solveChcText(SafeCounterText, Opts);
+  double Seconds = Wall.elapsedSeconds();
+  Done = true;
+  Net.join();
+  ASSERT_TRUE(S.Ok) << S.Error;
+  EXPECT_EQ(S.Status, ChcResult::Unknown);
+  EXPECT_LT(Seconds, 1.0);
+}
+
+TEST(PlanBudgetTest, LaStopsAtTheBudgetOnPaperFig4b) {
+  // Left alone, `la` spends about 10 s in one SMT check on this program;
+  // the stage token reaches inside the check.
+  const corpus::BenchmarkProgram *P = corpus::find("paper_fig4_b");
+  ASSERT_NE(P, nullptr);
+  SolveRequest Request;
+  Request.Source = P->Source;
+  Request.Format = SourceFormat::MiniC;
+  Request.Options.Engine = EngineId("la");
+  Request.Options.Limits.WallSeconds = 0.5;
+  Timer Wall;
+  SolveResult S = solve(Request);
+  ASSERT_TRUE(S.Ok) << S.Error;
+  EXPECT_LT(Wall.elapsedSeconds(), 1.5);
 }
 
 //===----------------------------------------------------------------------===//
@@ -405,7 +484,7 @@ TEST(PortfolioTest, ThreadModeLaneDiagnosticsAreNeverEmpty) {
   parseInto(SafeCounterText, System);
   SolverRegistry R;
   addStubEngines(R);
-  PortfolioSolver Solver(stubPortfolio(R, {"stub-throw", "stub-sat"}));
+  PlanSolver Solver(stubPlan(R, {"stub-throw", "stub-sat"}));
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Sat);
   for (const EngineReport &Rep : Solver.reports()) {
@@ -457,10 +536,10 @@ TEST(ProcessIsolationTest, CrashingLaneLosesAndIsReportedKilled) {
   SolverRegistry R;
   addStubEngines(R);
   baselines::registerCrashEngines(R);
-  PortfolioOptions PO = stubPortfolio(R, {"crash-segv", "stub-sat"});
+  Plan PO = stubPlan(R, {"crash-segv", "stub-sat"});
   PO.Isolate = Isolation::Process;
-  PO.Limits.WallSeconds = 60;
-  PortfolioSolver Solver(PO);
+  PO.Base.Limits.WallSeconds = 60;
+  PlanSolver Solver(PO);
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Sat);
   ASSERT_EQ(Solver.reports().size(), 2u);
@@ -485,11 +564,10 @@ TEST(ProcessIsolationTest, AbortAndSpinLanesAreContained) {
   SolverRegistry R;
   addStubEngines(R);
   baselines::registerCrashEngines(R);
-  PortfolioOptions PO =
-      stubPortfolio(R, {"crash-abort", "crash-spin", "stub-unsat"});
+  Plan PO = stubPlan(R, {"crash-abort", "crash-spin", "stub-unsat"});
   PO.Isolate = Isolation::Process;
-  PO.Limits.WallSeconds = 60;
-  PortfolioSolver Solver(PO);
+  PO.Base.Limits.WallSeconds = 60;
+  PlanSolver Solver(PO);
   Timer Wall;
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Unsat);
@@ -524,10 +602,10 @@ TEST(ProcessIsolationTest, RealEngineModelSurvivesThePipe) {
   SolverRegistry R;
   addStubEngines(R);
   addRealLaEngine(R);
-  PortfolioOptions PO = stubPortfolio(R, {"la-real"});
+  Plan PO = stubPlan(R, {"la-real"});
   PO.Isolate = Isolation::Process;
-  PO.Limits.WallSeconds = 60;
-  PortfolioSolver Solver(PO);
+  PO.Base.Limits.WallSeconds = 60;
+  PlanSolver Solver(PO);
   ChcSolverResult Res = Solver.solve(System);
   ASSERT_EQ(Res.Status, ChcResult::Sat);
   EXPECT_EQ(checkInterpretation(System, Res.Interp), ClauseStatus::Valid);
@@ -542,10 +620,10 @@ TEST(ProcessIsolationTest, CounterexampleSurvivesThePipe) {
   parseInto(UnsafeCounterText, System);
   SolverRegistry R;
   addRealLaEngine(R);
-  PortfolioOptions PO = stubPortfolio(R, {"la-real"});
+  Plan PO = stubPlan(R, {"la-real"});
   PO.Isolate = Isolation::Process;
-  PO.Limits.WallSeconds = 60;
-  PortfolioSolver Solver(PO);
+  PO.Base.Limits.WallSeconds = 60;
+  PlanSolver Solver(PO);
   ChcSolverResult Res = Solver.solve(System);
   ASSERT_EQ(Res.Status, ChcResult::Unsat);
   ASSERT_TRUE(Res.Cex.has_value());
@@ -563,6 +641,24 @@ TEST(ProcessIsolationTest, FacadeSingleEngineProcessMode) {
   EXPECT_TRUE(S.ModelValidated);
   ASSERT_EQ(S.Engines.size(), 1u);
   EXPECT_EQ(S.Engines[0].Outcome, LaneOutcome::Completed);
+}
+
+TEST(ProcessIsolationTest, SingleEngineReportsAgreeAcrossIsolationModes) {
+  LA_SKIP_UNDER_TSAN();
+  SolveOptions Opts;
+  Opts.Engine = EngineId("la");
+  Opts.Limits.WallSeconds = 60;
+  SolveResult Thread = solveChcText(SafeCounterText, Opts);
+  Opts.Isolate = Isolation::Process;
+  SolveResult Process = solveChcText(SafeCounterText, Opts);
+  ASSERT_TRUE(Thread.Ok) << Thread.Error;
+  ASSERT_TRUE(Process.Ok) << Process.Error;
+  // The static interval analysis discharges this system outright.
+  EXPECT_TRUE(Thread.SolvedByAnalysis);
+  EXPECT_EQ(Process.Status, Thread.Status);
+  EXPECT_EQ(Process.SolverName, Thread.SolverName);
+  EXPECT_EQ(Process.SolvedByAnalysis, Thread.SolvedByAnalysis);
+  EXPECT_EQ(Process.ModelValidated, Thread.ModelValidated);
 }
 
 TEST(ProcessIsolationTest, FacadeContainsCrashingSingleEngine) {
@@ -598,7 +694,7 @@ TEST(IsolationParseTest, RoundTripAndRejects) {
 TEST(PortfolioTest, FacadePortfolioSolvesSafeAndUnsafe) {
   baselines::registerBuiltinEngines();
   SolveOptions Opts;
-  Opts.Engine = EngineId("portfolio");
+  Opts.Schedule.Policy = SchedulePolicy::Race;
   Opts.Limits.WallSeconds = 30;
 
   SolveResult Safe = solveChcText(SafeCounterText, Opts);
@@ -631,12 +727,12 @@ TEST(PortfolioCorpusTest, VerdictsMatchSingleEngine) {
     solver::DataDrivenChcSolver Single(corpus::defaultOptionsFor(*P, Timeout));
     corpus::RunOutcome SingleOut = corpus::runOnProgram(Single, *P);
 
-    PortfolioOptions PO;
-    PO.Name = "LA-portfolio";
-    PO.Base.DataDriven = corpus::defaultOptionsFor(*P, Timeout);
-    PO.Base.Limits.WallSeconds = Timeout;
-    PO.Limits.WallSeconds = Timeout;
-    PortfolioSolver Portfolio(PO);
+    EngineOptions Base;
+    Base.DataDriven = corpus::defaultOptionsFor(*P, Timeout);
+    Base.Limits.WallSeconds = Timeout;
+    Plan Race = racePlan(Base, SolverRegistry::global());
+    Race.Name = "LA-portfolio";
+    PlanSolver Portfolio(std::move(Race));
     corpus::RunOutcome PortfolioOut = corpus::runOnProgram(Portfolio, *P);
 
     // The harness validates witnesses and checks ground truth: neither run

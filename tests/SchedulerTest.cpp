@@ -362,11 +362,9 @@ TEST(StagedSolverTest, SolvesSafeSystemAndKeepsLaneTimeline) {
   ChcSystem System(TM);
   parseInto(SafeCounterText, System);
 
-  PortfolioOptions PO;
-  PO.Limits.WallSeconds = 60;
-  ScheduleOptions SO;
-  SO.Policy = SchedulePolicy::Staged;
-  StagedSolver Solver(SO, PO);
+  EngineOptions Base;
+  Base.Limits.WallSeconds = 60;
+  PlanSolver Solver(stagedPlan(Base, 2, nullptr, SolverRegistry::global()));
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Sat);
 
@@ -402,16 +400,13 @@ TEST(StagedSolverTest, EscalatesToRaceWhenEarlierStagesSayUnknown) {
   ChcSystem System(TM);
   parseInto(DivergingText, System);
 
-  PortfolioOptions PO;
-  PO.Limits.WallSeconds = 3;
-  ScheduleOptions SO;
-  SO.Policy = SchedulePolicy::Staged;
-  SO.TopK = 1;
-  StagedSolver Solver(SO, PO);
+  EngineOptions Base;
+  Base.Limits.WallSeconds = 3;
+  PlanSolver Solver(stagedPlan(Base, 1, nullptr, SolverRegistry::global()));
   ChcSolverResult Res = Solver.solve(System);
   EXPECT_EQ(Res.Status, ChcResult::Unknown);
   EXPECT_TRUE(Solver.escalated());
-  EXPECT_FALSE(Solver.solvedByProbe());
+  EXPECT_FALSE(Solver.solvedByAnalysis());
   ASSERT_GE(Solver.stages().size(), 3u);
   EXPECT_EQ(Solver.stages().back().Stage, "race");
   for (const StageReport &S : Solver.stages())
@@ -424,12 +419,9 @@ TEST(StagedSolverTest, SelectorTopKCapsTheSelectedStage) {
   ChcSystem System(TM);
   parseInto(DivergingText, System);
 
-  PortfolioOptions PO;
-  PO.Limits.WallSeconds = 2;
-  ScheduleOptions SO;
-  SO.Policy = SchedulePolicy::Staged;
-  SO.TopK = 2;
-  StagedSolver Solver(SO, PO);
+  EngineOptions Base;
+  Base.Limits.WallSeconds = 2;
+  PlanSolver Solver(stagedPlan(Base, 2, nullptr, SolverRegistry::global()));
   (void)Solver.solve(System);
   ASSERT_GE(Solver.stages().size(), 2u);
   const StageReport &TopK = Solver.stages()[1];
