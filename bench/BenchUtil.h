@@ -57,7 +57,6 @@ inline SolverFactory linearArbitraryFactory() {
 inline SolverFactory linearArbitraryInlineOnlyFactory() {
   return [](const corpus::BenchmarkProgram &P, double Timeout) {
     solver::DataDrivenOptions Opts = corpus::defaultOptionsFor(P, Timeout);
-    Opts.Analysis.EnableIntervals = false;
     Opts.Analysis.EnableOctagons = false;
     Opts.Analysis.EnablePolyhedra = false;
     Opts.Name = "LA-inline";
@@ -65,22 +64,8 @@ inline SolverFactory linearArbitraryInlineOnlyFactory() {
   };
 }
 
-/// The data-driven solver with only the interval rung of the domain ladder:
-/// isolates what the relational domains buy (static discharges, CEGAR
-/// iterations saved).
-inline SolverFactory linearArbitraryIntervalOnlyFactory() {
-  return [](const corpus::BenchmarkProgram &P, double Timeout) {
-    solver::DataDrivenOptions Opts = corpus::defaultOptionsFor(P, Timeout);
-    Opts.Analysis.EnableOctagons = false;
-    Opts.Analysis.EnablePolyhedra = false;
-    Opts.Name = "LA-intervals";
-    return std::make_unique<solver::DataDrivenChcSolver>(Opts);
-  };
-}
-
-/// Intervals + octagons, polyhedra off: the pre-polyhedra ladder, the
-/// baseline the `solved_by_analysis` delta in BENCH_table1.json compares
-/// against.
+/// Octagons only, polyhedra off: the pre-polyhedra ladder, the baseline the
+/// `solved_by_analysis` delta in BENCH_table1.json compares against.
 inline SolverFactory linearArbitraryOctagonOnlyFactory() {
   return [](const corpus::BenchmarkProgram &P, double Timeout) {
     solver::DataDrivenOptions Opts = corpus::defaultOptionsFor(P, Timeout);
@@ -90,8 +75,8 @@ inline SolverFactory linearArbitraryOctagonOnlyFactory() {
   };
 }
 
-/// Intervals + template polyhedra, octagons off: isolates what the mined
-/// templates buy beyond the octagon shapes.
+/// Template polyhedra only, octagons off: isolates what the mined templates
+/// buy beyond the octagon shapes.
 inline SolverFactory linearArbitraryPolyhedraFactory() {
   return [](const corpus::BenchmarkProgram &P, double Timeout) {
     solver::DataDrivenOptions Opts = corpus::defaultOptionsFor(P, Timeout);

@@ -21,6 +21,6 @@ la_add_bench(ablation_dt)
 la_add_bench(ablation_learner)
 
 add_executable(micro_components bench/micro_components.cpp)
-target_link_libraries(micro_components PRIVATE la_analysis la_ml la_smt benchmark::benchmark)
+target_link_libraries(micro_components PRIVATE la_analysis la_ml la_smt la_smtlib2 benchmark::benchmark)
 set_target_properties(micro_components PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

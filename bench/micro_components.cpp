@@ -12,10 +12,10 @@
 #include "analysis/Octagon.h"
 #include "analysis/PassManager.h"
 #include "analysis/VariablePacks.h"
-#include "chc/ChcParser.h"
 #include "ml/Learn.h"
 #include "ml/Svm.h"
 #include "smt/SmtSolver.h"
+#include "smtlib2/Parser.h"
 #include "support/Random.h"
 
 #include <benchmark/benchmark.h>
@@ -143,9 +143,10 @@ BENCHMARK(BM_IncrementalVsOneShot)
     ->Arg(1)
     ->ArgName("incremental");
 
-/// The full static pre-analysis pipeline (slicing + interval fixpoint +
-/// invariant verification) on a system with a bounded counting loop, a
-/// predicate outside the query cone, and a predicate unreachable from facts.
+/// The full static pre-analysis pipeline (inlining + slicing + octagon and
+/// polyhedra fixpoints + invariant verification) on a system with a bounded
+/// counting loop, a predicate outside the query cone, and a predicate
+/// unreachable from facts.
 static void BM_AnalysisPipeline(benchmark::State &State) {
   const std::string Text = R"(
 (set-logic HORN)
@@ -163,7 +164,7 @@ static void BM_AnalysisPipeline(benchmark::State &State) {
   for (auto _ : State) {
     TermManager TM;
     chc::ChcSystem System(TM);
-    chc::ChcParseResult P = chc::parseChcText(Text, System);
+    smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
     if (!P.Ok)
       State.SkipWithError("parse failure in BM_AnalysisPipeline");
     analysis::AnalysisResult R = analysis::analyzeSystem(System);

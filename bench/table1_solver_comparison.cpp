@@ -45,8 +45,8 @@ void writeJson(const char *Path,
     return;
   }
   // The headline the polyhedra rung is accountable for: how many extra
-  // programs the full ladder discharges statically over the pre-polyhedra
-  // (intervals + octagons) ladder.
+  // programs the full ladder discharges statically over the octagon-only
+  // ladder.
   long SolvedByAnalysisDelta = 0;
   {
     const SuiteResult *Full = nullptr, *OctOnly = nullptr;
@@ -194,7 +194,6 @@ int main() {
     Rows.push_back({"spacer", pdrFactory(/*CacheReachable=*/true)});
     Rows.push_back({"duality", unwindFactory(/*SummaryReuse=*/true)});
     Rows.push_back({"LA-inline", linearArbitraryInlineOnlyFactory()});
-    Rows.push_back({"LA-intervals", linearArbitraryIntervalOnlyFactory()});
   }
   Rows.push_back({"LA-octagons", linearArbitraryOctagonOnlyFactory()});
   if (SmokeStride == 0)

@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "chc/ChcParser.h"
+#include "smtlib2/Parser.h"
 #include "solver/DataDrivenSolver.h"
 
 #include <cstdio>
@@ -42,9 +42,9 @@ static int solveAndReport(const char *Label, const char *Property,
   printf("=== %s ===\n", Label);
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(fiboSystem(Property), System);
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(fiboSystem(Property), System);
   if (!P.Ok) {
-    printf("parse error: %s\n", P.Error.c_str());
+    printf("parse error: %s\n", P.error().c_str());
     return 1;
   }
   printf("recursive: %s (CHC (7) has two occurrences of p in its body)\n",

@@ -9,9 +9,10 @@
 /// engine (`analysis/FixpointEngine.h`). A domain supplies the per-predicate
 /// abstract value, the lattice operators (join / widen / narrow), the clause
 /// transfer function, and the rendering of a value as a candidate invariant
-/// formula. `IntervalAnalysis` (non-relational boxes) and `OctagonAnalysis`
-/// (relational `±x ± y <= c` facts) both implement it, sharing one fixpoint
-/// driver instead of duplicating the sweep / widening / narrowing machinery.
+/// formula. `OctagonAnalysis` (relational `±x ± y <= c` facts) and
+/// `TemplateAnalysis` (mined `sum a_i x_i <= c` rows) both implement it,
+/// sharing one fixpoint driver instead of duplicating the sweep / widening /
+/// narrowing machinery.
 ///
 /// Every invariant a domain produces is a *candidate* only: the verify pass
 /// re-proves it with `chc::checkClause` before anything downstream may trust
@@ -36,9 +37,8 @@ namespace la::analysis {
 struct FixpointOptions {
   /// Joins applied to one predicate before switching to widening.
   size_t WideningDelay = 3;
-  /// Hard cap on whole-system sweeps (a safety net; widening guarantees
-  /// convergence long before this for intervals, and bounds the rare
-  /// closure/widening oscillation for relational domains).
+  /// Hard cap on whole-system sweeps (a safety net; widening bounds the
+  /// rare closure/widening oscillation of the relational domains).
   size_t MaxSweeps = 64;
   /// Descending iterations after the widened fixpoint; these recover bounds
   /// that widening overshot (e.g. the upper bound a loop guard implies).

@@ -18,7 +18,6 @@
 #define LA_ANALYSIS_ANALYSISCONTEXT_H
 
 #include "analysis/AbstractDomain.h"
-#include "analysis/Interval.h"
 #include "analysis/Octagon.h"
 #include "analysis/TemplatePolyhedra.h"
 #include "analysis/VariablePacks.h"
@@ -92,12 +91,10 @@ struct AnalysisOptions {
   /// CEGAR loop sees is the transformed one).
   bool EnableInlining = true;
   bool EnableSlicing = true;
-  bool EnableIntervals = true;
   bool EnableOctagons = true;
   /// Template-polyhedra pass (`analysis/TemplateAnalysis.h`): mined
   /// `sum a_i x_i <= c` rows, LP-backed lattice over the exact simplex.
   bool EnablePolyhedra = true;
-  FixpointOptions Intervals;
   FixpointOptions Octagons;
   FixpointOptions Polyhedra;
   /// Template mining + transfer knobs for the polyhedra pass.
@@ -160,9 +157,10 @@ struct AnalysisResult {
   /// Statically resolved predicates (interpretation `true` or `false`);
   /// no live clause mentions them.
   std::map<const chc::Predicate *, const Term *> Fixed;
-  /// Verified inductive invariants for live predicates (octagon candidates
-  /// where they survive verification, interval candidates otherwise). Sound
-  /// over-approximations: every derivable fact satisfies them.
+  /// Verified inductive invariants for live predicates (the polyhedra and
+  /// octagon conjunction where it survives verification, the octagon
+  /// candidate otherwise). Sound over-approximations: every derivable fact
+  /// satisfies them.
   std::map<const chc::Predicate *, const Term *> Invariants;
   /// The finite bounds behind `Invariants`, as learner-feature fodder.
   std::map<const chc::Predicate *, std::vector<ArgBounds>> Bounds;
@@ -201,7 +199,6 @@ struct AnalysisResult {
 };
 
 /// Abstract per-predicate states of the bundled domains.
-using IntervalState = DomainPredState<std::vector<Interval>>;
 using OctagonState = DomainPredState<PackedOctagon>;
 using PolyhedraState = DomainPredState<TemplatePolyhedron>;
 
@@ -210,7 +207,7 @@ using PolyhedraState = DomainPredState<TemplatePolyhedron>;
 ///
 /// The system a pass sees is `system()`: initially the input system, but
 /// rebound to the inlined clone once `adoptTransformed()` runs, so the
-/// interval/octagon ladder and the verify pass transparently analyze the
+/// octagon/polyhedra ladder and the verify pass transparently analyze the
 /// smaller system.
 struct AnalysisContext {
   TermManager &TM;
@@ -222,8 +219,6 @@ struct AnalysisContext {
   /// Maintained by `fix()`; empty means "nothing masked".
   std::vector<char> SkipPred;
   AnalysisResult Result;
-  /// Raw interval states, populated by the interval pass for the verifier.
-  std::vector<IntervalState> Intervals;
   /// Raw octagon states, populated by the octagon pass for the verifier.
   std::vector<OctagonState> Octagons;
   /// Raw polyhedra states, populated by the polyhedra pass for the

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The classic interval abstract domain over the integers, with exact
-/// rational bounds and explicit +-infinity. Used by the static pre-analysis
-/// (`analysis/IntervalAnalysis.h`) to over-approximate the set of reachable
-/// argument values of each unknown predicate before the CEGAR loop starts.
+/// rational bounds and explicit +-infinity. The relational domains report
+/// per-argument bounds in it (`Octagon::boundOf`,
+/// `TemplatePolyhedron::boundOf`), and the verify pass hands them to the
+/// learner as `ArgBounds`.
 ///
 /// Lattice structure: `empty` is bottom, `top` is (-inf, +inf); `join` is
 /// the lattice union, `meet` the intersection, and `widen` the standard

@@ -20,8 +20,8 @@
 /// input-bounds hash) in `OctTransferCache`. The fixpoint strategy lives in
 /// the shared driver, `analysis/FixpointEngine.h`.
 ///
-/// The paper's Fig. 1 family needs exactly these facts: the interval domain
-/// cannot express `x >= y`, so its invariants never discharge such queries,
+/// The paper's Fig. 1 family needs exactly these facts: per-argument bounds
+/// cannot express `x >= y`, so they never discharge such queries,
 /// while the octagon run yields `y - x <= 0` shaped candidates that the
 /// verify pass then re-proves with `chc::checkClause` (DESIGN.md §9, §13).
 ///

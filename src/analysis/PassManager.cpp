@@ -8,7 +8,6 @@
 
 #include "analysis/DependencyGraph.h"
 #include "analysis/InlinePass.h"
-#include "analysis/IntervalAnalysis.h"
 #include "analysis/OctagonAnalysis.h"
 #include "analysis/TemplateAnalysis.h"
 #include "smt/LpSolver.h"
@@ -73,32 +72,8 @@ public:
   }
 };
 
-/// Runs the interval fixpoint; results are candidates only until the verify
-/// pass has re-proved them.
-class IntervalPass : public Pass {
-public:
-  std::string name() const override { return "intervals"; }
-
-  void run(AnalysisContext &Ctx) override {
-    PassStats &Stats = Ctx.stats();
-    FixpointTelemetry Tele;
-    Ctx.Intervals = runIntervalAnalysis(Ctx, &Tele);
-    Stats.HitSweepCap = Tele.HitSweepCap;
-    Stats.SweepCapHits += Tele.HitSweepCap;
-    for (const Predicate *P : Ctx.system().predicates()) {
-      if (Ctx.isFixed(P))
-        continue;
-      const IntervalState &S = Ctx.Intervals[P->Index];
-      if (!S.Reachable)
-        continue;
-      for (const Interval &I : S.Value)
-        Stats.BoundsFound += (I.hasLo() ? 1 : 0) + (I.hasHi() ? 1 : 0);
-    }
-  }
-};
-
-/// Runs the octagon fixpoint; like the interval pass, everything it finds
-/// is a candidate until verified.
+/// Runs the octagon fixpoint; everything it finds is a candidate until the
+/// verify pass has re-proved it.
 class OctagonPass : public Pass {
 public:
   std::string name() const override { return "octagons"; }
@@ -130,8 +105,8 @@ public:
 };
 
 /// Runs the template-polyhedra fixpoint over the mined matrices; like the
-/// interval and octagon passes, everything it finds is a candidate until
-/// the verify pass has re-proved it.
+/// octagon pass, everything it finds is a candidate until the verify pass
+/// has re-proved it.
 class PolyhedraPass : public Pass {
 public:
   std::string name() const override { return "polyhedra"; }
@@ -164,13 +139,13 @@ public:
 /// Re-proves every candidate invariant with the SMT solver, resolves
 /// verified-`false` predicates, and discharges query clauses that are
 /// already valid under the verified seed. Each predicate carries a ladder
-/// of candidates ordered strongest first (polyhedra, then octagon, then
-/// interval): a clause failure demotes the head predicate one rung before
-/// dropping it to `true`, so a too-strong relational candidate cannot cost
-/// the weaker fact the previous pipeline would have kept. The strongest
-/// rung conjoins the polyhedral and octagon candidates — the intersection
-/// of two inductive invariants is inductive over Horn clauses, so the rung
-/// only ever strengthens what either candidate alone would verify.
+/// of candidates ordered strongest first (polyhedra conjoined with octagon,
+/// then octagon): a clause failure demotes the head predicate one rung
+/// before dropping it to `true`, so a too-strong polyhedral candidate cannot
+/// cost the fact the octagon candidate alone would have kept. The strongest
+/// rung conjoins the two candidates — the intersection of two inductive
+/// invariants is inductive over Horn clauses, so the rung only ever
+/// strengthens what either candidate alone would verify.
 class InvariantVerifyPass : public Pass {
 public:
   std::string name() const override { return "verify"; }
@@ -194,7 +169,6 @@ public:
         /// and feature-row publishing of the surviving level).
         bool UsesPoly = false;
         bool UsesOct = false;
-        bool UsesInterval = false;
       };
       std::vector<Level> Levels;
       size_t Cur = 0;
@@ -214,32 +188,26 @@ public:
           Ctx.Octagons.empty()
               ? nullptr
               : octagonInvariant(TM, P, Ctx.Octagons[P->Index]);
-      const Term *IntInv =
-          Ctx.Intervals.empty()
-              ? nullptr
-              : intervalInvariant(TM, P, Ctx.Intervals[P->Index]);
       Ladder L;
       // Terms are hash-consed, so identical candidates dedupe by pointer;
       // a dedup merges the domain flags (e.g. the polyhedral and octagon
       // candidates rendering the same formula stand on both states).
-      auto Push = [&](const Term *Inv, bool Poly, bool Oct, bool Intv) {
+      auto Push = [&](const Term *Inv, bool Poly, bool Oct) {
         if (!Inv)
           return;
         for (Ladder::Level &Lvl : L.Levels)
           if (Lvl.Inv == Inv) {
             Lvl.UsesPoly |= Poly;
             Lvl.UsesOct |= Oct;
-            Lvl.UsesInterval |= Intv;
             return;
           }
-        L.Levels.push_back({Inv, Poly, Oct, Intv});
+        L.Levels.push_back({Inv, Poly, Oct});
       };
       if (PolyInv && OctInv && PolyInv != OctInv)
-        Push(TM.mkAnd(PolyInv, OctInv), true, true, false);
+        Push(TM.mkAnd(PolyInv, OctInv), true, true);
       else
-        Push(PolyInv, true, false, false);
-      Push(OctInv, false, true, false);
-      Push(IntInv, false, false, true);
+        Push(PolyInv, true, false);
+      Push(OctInv, false, true);
       if (!L.Levels.empty())
         Ladders.emplace(P, std::move(L));
     }
@@ -344,8 +312,6 @@ public:
           I = I.meet(Ctx.Polyhedra[P->Index].Value.boundOf(J));
         if (Lvl.UsesOct)
           I = I.meet(Ctx.Octagons[P->Index].Value.boundOf(J));
-        if (Lvl.UsesInterval)
-          I = I.meet(Ctx.Intervals[P->Index].Value[J]);
         I = I.tightenIntegral();
         if (!I.hasLo() && !I.hasHi())
           continue;
@@ -429,8 +395,6 @@ PassManager PassManager::defaultPipeline(const AnalysisOptions &Opts) {
     PM.addPass(std::make_unique<FactReachabilityPass>());
     PM.addPass(std::make_unique<QueryConePass>());
   }
-  if (Opts.EnableIntervals)
-    PM.addPass(std::make_unique<IntervalPass>());
   if (Opts.EnableOctagons)
     PM.addPass(std::make_unique<OctagonPass>());
   if (Opts.EnablePolyhedra)

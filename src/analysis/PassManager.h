@@ -18,16 +18,17 @@
 ///      `false` and every clause mentioning them is pruned;
 ///   2. query-cone:  predicates outside the cone of influence of the query
 ///      clauses are resolved to `true` and their defining clauses pruned;
-///   3. intervals:   the interval abstract domain computes candidate
-///      per-argument bounds for the surviving predicates;
-///   4. octagons:    the relational octagon domain computes candidate
-///      `±x ± y <= c` facts (the `x >= y` shapes the paper's Fig. 1 family
-///      needs and intervals cannot express);
+///   3. octagons:    the relational octagon domain computes candidate
+///      `±x ± y <= c` facts, per-argument bounds included (the `x >= y`
+///      shapes the paper's Fig. 1 family needs);
+///   4. polyhedra:   the template-polyhedra domain computes candidate
+///      `sum a_i x_i <= c` facts over rows mined from the clauses
+///      (`analysis/TemplateAnalysis.h`);
 ///   5. verify:      every candidate invariant is re-proved inductive with
-///      `chc::checkClause`; a failing octagon candidate falls back to the
-///      predicate's interval candidate before being dropped entirely.
-///      Verified `false` predicates are resolved, and query clauses already
-///      valid under the verified seed are discharged.
+///      `chc::checkClause`; a failing polyhedra-and-octagon candidate falls
+///      back to the predicate's octagon candidate before being dropped
+///      entirely. Verified `false` predicates are resolved, and query
+///      clauses already valid under the verified seed are discharged.
 ///
 /// Soundness is by construction: nothing unverified leaves this module, so
 /// downstream consumers (the CEGAR loop seeding its interpretations, the

@@ -209,7 +209,7 @@ analysis::mineTemplates(const AnalysisContext &Ctx,
     RowSet Rows(N, Opts.MaxTemplatesPerPredicate, Layout);
 
     // Octagon-shaped defaults: unary rows always, pair rows on small
-    // arities (they subsume the interval and octagon rungs there).
+    // arities (they subsume the octagon rung there).
     for (size_t I = 0; I < N; ++I)
       for (int S : {+1, -1}) {
         std::vector<Rational> Coef(N);

@@ -11,7 +11,7 @@
 /// system** before the fixpoint starts:
 ///
 ///   * octagon-shaped defaults: `±x_i` always, `±x_i ± x_j` on small
-///     arities, so the domain subsumes the interval rung and (on those
+///     arities, so the domain subsumes per-argument bounds and (on those
 ///     arities) the octagon rung;
 ///   * harvested rows: every linear atom of every live clause constraint is
 ///     projected onto the argument positions of each application of the

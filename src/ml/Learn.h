@@ -32,7 +32,7 @@ struct LearnOptions {
   /// Also provide unit (octagon-direction) features to the DT stage.
   bool AddUnitFeatures = false;
   /// Externally supplied candidate attributes for the DT stage, e.g. the
-  /// bounded argument directions found by the static interval pre-analysis.
+  /// bounded argument directions found by the static pre-analysis.
   /// Deduplicated against the learned atoms before use.
   std::vector<Feature> ExtraFeatures;
 };

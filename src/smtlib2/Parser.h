@@ -5,17 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The SMT-LIB2 (HORN) front end used by the façade, the CLI driver and the
-/// solver daemon: a strict, sort-checked translation from the CHC-COMP
-/// exchange format into `chc::ChcSystem`, with precise line:column
-/// diagnostics. Compared to the legacy `chc::parseChcText` it adds
+/// The one SMT-LIB2 (HORN) reader, used by the façade, the CLI driver, the
+/// solver daemon, the benches and the tests: a strict, sort-checked
+/// translation from the CHC-COMP exchange format into `chc::ChcSystem`,
+/// with precise line:column diagnostics. It provides
 ///
 ///   * logic gating: `(set-logic L)` with any `L` other than `HORN` is
 ///     rejected; unsupported sorts (`Real`, arrays, bit-vectors, parametric
 ///     sorts) are rejected at their source location;
 ///   * scoping: quantifier and `let` binders shadow correctly, free symbols
-///     that were never declared are errors (the legacy parser silently
-///     invented variables);
+///     that were never declared are errors;
 ///   * `Bool` alongside `Int`: Bool-sorted binders, constants and predicate
 ///     arguments are translated into the core integer term language by a
 ///     0/1 encoding (a Bool value `b` becomes an Int variable constrained

@@ -100,7 +100,7 @@ public:
       if (Analysis.LiveClause[I])
         LiveClauses.push_back(I);
     // Seed the interpretation: statically resolved predicates are final,
-    // verified interval invariants lower-bound every later interpretation.
+    // verified invariants lower-bound every later interpretation.
     for (const auto &[P, F] : Analysis.Fixed)
       Result.Interp.set(P, F);
     for (const auto &[P, Inv] : Analysis.Invariants)

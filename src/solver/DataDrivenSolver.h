@@ -71,8 +71,9 @@ struct DataDrivenOptions {
   /// Display name override (for benches comparing learners).
   std::string Name = "LinearArbitrary";
   /// Run the static pre-analysis pipeline (`src/analysis`) before the CEGAR
-  /// loop: cone-of-influence slicing, fact-reachability resolution, and
-  /// verified interval invariants seeding the interpretations.
+  /// loop: inlining, cone-of-influence slicing, fact-reachability
+  /// resolution, and verified octagon / template-polyhedra invariants
+  /// seeding the interpretations.
   bool EnableAnalysis = true;
   analysis::AnalysisOptions Analysis;
   /// Optional persistent tier under the clause-check memo cache: Valid

@@ -6,11 +6,10 @@
 
 #include "analysis/DependencyGraph.h"
 #include "analysis/InlinePass.h"
-#include "analysis/IntervalAnalysis.h"
 #include "analysis/Octagon.h"
 #include "analysis/OctagonAnalysis.h"
 #include "analysis/PassManager.h"
-#include "chc/ChcParser.h"
+#include "smtlib2/Parser.h"
 #include "solver/DataDrivenSolver.h"
 
 #include <gtest/gtest.h>
@@ -31,7 +30,7 @@ const Predicate *findPred(const ChcSystem &System, const std::string &Name) {
 }
 
 //===----------------------------------------------------------------------===//
-// Interval domain
+// Interval lattice
 //===----------------------------------------------------------------------===//
 
 TEST(IntervalTest, LatticeBasics) {
@@ -112,8 +111,8 @@ constexpr const char *SlicingSystem = R"(
 TEST(DependencyGraphTest, ReachabilityQueries) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(SlicingSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(SlicingSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   DependencyGraph G(System, {});
   std::vector<char> Derivable = G.derivableFromFacts();
@@ -131,8 +130,8 @@ TEST(DependencyGraphTest, ReachabilityQueries) {
 TEST(AnalysisTest, SlicingResolvesAndPrunes) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(SlicingSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(SlicingSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisResult R = analyzeSystem(System);
 
@@ -167,59 +166,59 @@ TEST(AnalysisTest, SlicingResolvesAndPrunes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Interval fixpoint
+// Octagon fixpoint: per-argument bounds
 //===----------------------------------------------------------------------===//
 
 /// The classic counting loop: n starts at 0 and increments below the guard
 /// n < 10. Widening first overshoots the upper bound; the narrowing passes
-/// must recover the exact invariant [0, 10].
-TEST(IntervalAnalysisTest, CountingLoopConverges) {
-  TermManager TM;
-  ChcSystem System(TM);
-  ChcParseResult P = parseChcText(R"(
+/// must recover the exact bound [0, 10] on the octagon's unary rows.
+TEST(OctagonAnalysisTest, CountingLoopConverges) {
+  constexpr const char *Text = R"(
 (set-logic HORN)
 (declare-fun inv (Int) Bool)
 (assert (forall ((n Int)) (=> (= n 0) (inv n))))
 (assert (forall ((n Int) (m Int))
   (=> (and (inv n) (< n 10) (= m (+ n 1))) (inv m))))
 (assert (forall ((n Int)) (=> (inv n) (<= n 10))))
-)",
-                                  System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+)";
+  TermManager TM;
+  ChcSystem System(TM);
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisContext Ctx(System);
-  std::vector<IntervalState> States = runIntervalAnalysis(Ctx);
+  std::vector<OctagonState> States = runOctagonAnalysis(Ctx);
 
   const Predicate *Inv = findPred(System, "inv");
   ASSERT_TRUE(States[Inv->Index].Reachable);
-  ASSERT_EQ(States[Inv->Index].Value.size(), 1u);
-  EXPECT_EQ(States[Inv->Index].Value[0],
+  ASSERT_EQ(States[Inv->Index].Value.numVars(), 1u);
+  EXPECT_EQ(States[Inv->Index].Value.boundOf(0),
             Interval::range(Rational(0), Rational(10)));
 }
 
 /// Without a loop guard the upper bound genuinely diverges: widening must
 /// drop it (and narrowing must not resurrect a bound that does not exist),
 /// while the stable lower bound survives.
-TEST(IntervalAnalysisTest, WideningDropsUnstableBound) {
-  TermManager TM;
-  ChcSystem System(TM);
-  ChcParseResult P = parseChcText(R"(
+TEST(OctagonAnalysisTest, WideningDropsUnstableBound) {
+  constexpr const char *Text = R"(
 (set-logic HORN)
 (declare-fun inv (Int) Bool)
 (assert (forall ((n Int)) (=> (= n 0) (inv n))))
 (assert (forall ((n Int) (m Int))
   (=> (and (inv n) (= m (+ n 1))) (inv m))))
 (assert (forall ((n Int)) (=> (inv n) (>= n 0))))
-)",
-                                  System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+)";
+  TermManager TM;
+  ChcSystem System(TM);
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisContext Ctx(System);
-  std::vector<IntervalState> States = runIntervalAnalysis(Ctx);
+  std::vector<OctagonState> States = runOctagonAnalysis(Ctx);
 
   const Predicate *Inv = findPred(System, "inv");
   ASSERT_TRUE(States[Inv->Index].Reachable);
-  const Interval &I = States[Inv->Index].Value[0];
+  Interval I = States[Inv->Index].Value.boundOf(0);
   EXPECT_TRUE(I.hasLo());
   EXPECT_EQ(I.lo(), Rational(0));
   EXPECT_FALSE(I.hasHi());
@@ -452,12 +451,12 @@ TEST(OctagonTest, ProjectionKeepsImpliedFacts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Octagon fixpoint: relational invariants intervals cannot express
+// Octagon fixpoint: relational invariants beyond per-argument bounds
 //===----------------------------------------------------------------------===//
 
 /// `p(x, y)` starts on the diagonal x = y (unbounded!) and only ever grows
-/// x. The query x >= y needs the relational fact y - x <= 0; intervals see
-/// no finite bound anywhere, so their invariant is provably trivial.
+/// x. The query x >= y needs the relational fact y - x <= 0; per-argument
+/// bounds see no finite bound anywhere, so they provably carry nothing.
 constexpr const char *RelationalSystem = R"(
 (set-logic HORN)
 (declare-fun p (Int Int) Bool)
@@ -470,24 +469,20 @@ constexpr const char *RelationalSystem = R"(
 TEST(OctagonAnalysisTest, RelationalInvariantBeyondIntervals) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(RelationalSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(RelationalSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "p");
 
   AnalysisContext Ctx(System);
 
-  // The interval domain provably learns nothing here: every argument stays
-  // unbounded, the state is top and the rendered invariant empty.
-  std::vector<IntervalState> IStates = runIntervalAnalysis(Ctx);
-  ASSERT_TRUE(IStates[Pred->Index].Reachable);
-  for (const Interval &I : IStates[Pred->Index].Value)
-    EXPECT_TRUE(I.isTop());
-  EXPECT_EQ(intervalInvariant(TM, Pred, IStates[Pred->Index]), nullptr);
-
-  // The octagon domain keeps the diagonal fact y - x <= 0 through the loop.
+  // The unary rows provably learn nothing here: every argument stays
+  // unbounded. The octagon domain keeps the diagonal fact y - x <= 0
+  // through the loop.
   std::vector<OctagonState> OStates = runOctagonAnalysis(Ctx);
   ASSERT_TRUE(OStates[Pred->Index].Reachable);
   const PackedOctagon &O = OStates[Pred->Index].Value;
+  EXPECT_TRUE(O.boundOf(0).isTop());
+  EXPECT_TRUE(O.boundOf(1).isTop());
   EXPECT_EQ(O.pairUpper(1, false, 0, true), OctBound::of(Rational(0)));
   EXPECT_GE(OctagonDomain::relationalFactCount(O), 1u);
 
@@ -505,14 +500,14 @@ TEST(OctagonAnalysisTest, RelationalInvariantBeyondIntervals) {
 TEST(OctagonAnalysisTest, PipelineDischargesRelationalQuery) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(RelationalSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(RelationalSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
-  // Interval-only pipeline: no invariant, no discharge.
-  AnalysisOptions IntervalOnly;
-  IntervalOnly.EnableOctagons = false;
-  IntervalOnly.EnablePolyhedra = false;
-  AnalysisResult RI = analyzeSystem(System, IntervalOnly);
+  // No abstract domain: no invariant, no discharge.
+  AnalysisOptions NoDomain;
+  NoDomain.EnableOctagons = false;
+  NoDomain.EnablePolyhedra = false;
+  AnalysisResult RI = analyzeSystem(System, NoDomain);
   EXPECT_FALSE(RI.ProvedSat);
   EXPECT_TRUE(RI.Invariants.empty());
   EXPECT_EQ(RI.relationalFound(), 0u);
@@ -541,8 +536,8 @@ TEST(OctagonAnalysisTest, PipelineDischargesRelationalQuery) {
 TEST(AnalysisTest, EmittedInvariantsAreInductive) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(SlicingSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(SlicingSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisResult R = analyzeSystem(System);
   EXPECT_FALSE(R.Invariants.empty());
@@ -562,7 +557,7 @@ TEST(AnalysisTest, EmittedInvariantsAreInductive) {
   }
 }
 
-/// The bounded counter is provable by the interval invariant alone: the
+/// The bounded counter is provable by per-argument bounds alone: the
 /// pipeline discharges the query and the solver returns Sat after zero CEGAR
 /// iterations. With analysis off the same system needs real learning work.
 TEST(AnalysisTest, BoundedCounterSolvedStatically) {
@@ -579,8 +574,8 @@ TEST(AnalysisTest, BoundedCounterSolvedStatically) {
   {
     TermManager TM;
     ChcSystem System(TM);
-    ChcParseResult P = parseChcText(Text, System);
-    ASSERT_TRUE(P.Ok) << P.Error;
+    smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+    ASSERT_TRUE(P.Ok) << P.error();
 
     AnalysisResult A = analyzeSystem(System);
     EXPECT_TRUE(A.ProvedSat);
@@ -598,8 +593,8 @@ TEST(AnalysisTest, BoundedCounterSolvedStatically) {
   {
     TermManager TM;
     ChcSystem System(TM);
-    ChcParseResult P = parseChcText(Text, System);
-    ASSERT_TRUE(P.Ok) << P.Error;
+    smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+    ASSERT_TRUE(P.Ok) << P.error();
 
     solver::DataDrivenOptions Opts;
     Opts.EnableAnalysis = false;
@@ -614,8 +609,8 @@ TEST(AnalysisTest, BoundedCounterSolvedStatically) {
 }
 
 /// End-to-end agreement on a system the analysis cannot discharge (Fig. 1 of
-/// the paper needs the relational invariant x >= y that intervals cannot
-/// express): both configurations must agree on Sat.
+/// the paper needs the relational invariant x >= y that per-argument bounds
+/// cannot express): both configurations must agree on Sat.
 TEST(AnalysisTest, AnalysisOnOffAgreeOnFig1) {
   constexpr const char *Fig1 = R"(
 (set-logic HORN)
@@ -629,8 +624,8 @@ TEST(AnalysisTest, AnalysisOnOffAgreeOnFig1) {
   for (bool Enable : {true, false}) {
     TermManager TM;
     ChcSystem System(TM);
-    ChcParseResult P = parseChcText(Fig1, System);
-    ASSERT_TRUE(P.Ok) << P.Error;
+    smtlib2::ParseResult P = smtlib2::parseSmtLib2(Fig1, System);
+    ASSERT_TRUE(P.Ok) << P.error();
 
     solver::DataDrivenOptions Opts;
     Opts.EnableAnalysis = Enable;
@@ -657,8 +652,8 @@ TEST(AnalysisTest, UnsafeSystemStillRefuted) {
   for (bool Enable : {true, false}) {
     TermManager TM;
     ChcSystem System(TM);
-    ChcParseResult P = parseChcText(Unsafe, System);
-    ASSERT_TRUE(P.Ok) << P.Error;
+    smtlib2::ParseResult P = smtlib2::parseSmtLib2(Unsafe, System);
+    ASSERT_TRUE(P.Ok) << P.error();
 
     solver::DataDrivenOptions Opts;
     Opts.EnableAnalysis = Enable;
@@ -676,24 +671,23 @@ TEST(AnalysisTest, UnsafeSystemStillRefuted) {
 TEST(AnalysisTest, PassStatisticsAreReported) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(SlicingSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(SlicingSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   AnalysisResult R = analyzeSystem(System);
-  ASSERT_EQ(R.Passes.size(), 7u);
+  ASSERT_EQ(R.Passes.size(), 6u);
   EXPECT_EQ(R.Passes[0].Name, "inline");
   EXPECT_EQ(R.Passes[1].Name, "fact-reach");
   EXPECT_EQ(R.Passes[2].Name, "query-cone");
-  EXPECT_EQ(R.Passes[3].Name, "intervals");
-  EXPECT_EQ(R.Passes[4].Name, "octagons");
-  EXPECT_EQ(R.Passes[5].Name, "polyhedra");
-  EXPECT_EQ(R.Passes[6].Name, "verify");
+  EXPECT_EQ(R.Passes[3].Name, "octagons");
+  EXPECT_EQ(R.Passes[4].Name, "polyhedra");
+  EXPECT_EQ(R.Passes[5].Name, "verify");
   EXPECT_EQ(R.Passes[0].PredicatesInlined, 1u);
   EXPECT_EQ(R.Passes[0].ClausesRemoved, 1u);
   EXPECT_GT(R.Passes[3].BoundsFound, 0u);
   EXPECT_GT(R.Passes[4].BoundsFound, 0u);
-  EXPECT_GT(R.Passes[5].TemplatesMined, 0u);
-  EXPECT_GT(R.Passes[6].SmtChecks, 0u);
+  EXPECT_GT(R.Passes[4].TemplatesMined, 0u);
+  EXPECT_GT(R.Passes[5].SmtChecks, 0u);
   EXPECT_GT(R.smtChecks(), 0u);
   EXPECT_FALSE(R.report().empty());
 
@@ -701,7 +695,6 @@ TEST(AnalysisTest, PassStatisticsAreReported) {
   AnalysisOptions Off;
   Off.EnableInlining = false;
   Off.EnableSlicing = false;
-  Off.EnableIntervals = false;
   Off.EnableOctagons = false;
   Off.EnablePolyhedra = false;
   AnalysisResult Trivial = analyzeSystem(System, Off);

@@ -8,7 +8,7 @@
 #include "baselines/PdrSolver.h"
 #include "baselines/TemplateLearner.h"
 #include "baselines/UnwindSolver.h"
-#include "chc/ChcParser.h"
+#include "smtlib2/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -65,8 +65,8 @@ const char *Disjunctive = R"(
 ChcResult runSolver(ChcSolverInterface &Solver, const char *Text) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(Text, System);
-  EXPECT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+  EXPECT_TRUE(P.Ok) << P.error();
   ChcSolverResult R = Solver.solve(System);
   if (R.Status == ChcResult::Sat) {
     EXPECT_EQ(checkInterpretation(System, R.Interp), ClauseStatus::Valid)

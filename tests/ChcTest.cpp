@@ -1,11 +1,10 @@
-//===- tests/ChcTest.cpp - CHC system / checking / parser tests -----------===//
+//===- tests/ChcTest.cpp - CHC system / checking tests --------------------===//
 //
 // Part of the LinearArbitrary reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 
 #include "chc/ChcCheck.h"
-#include "chc/ChcParser.h"
 
 #include <gtest/gtest.h>
 
@@ -284,142 +283,6 @@ TEST(CounterexampleTest, ValidatesRealDerivation) {
   Counterexample BadQuery = Cex;
   BadQuery.QueryChildren = {0}; // p(1,0) does not violate x > y
   EXPECT_FALSE(validateCounterexample(System, BadQuery));
-}
-
-//===----------------------------------------------------------------------===//
-// Parser
-//===----------------------------------------------------------------------===//
-
-TEST(ChcParserTest, ParsesFig1SmtLib) {
-  const char *Text = R"(
-(set-logic HORN)
-(declare-fun p (Int Int) Bool)
-(assert (forall ((x Int) (y Int))
-  (=> (and (= x 1) (= y 0)) (p x y))))
-(assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
-  (=> (and (p x y) (= x1 (+ x y)) (= y1 (+ y 1))) (p x1 y1))))
-(assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
-  (=> (and (p x y) (= x1 (+ x y)) (= y1 (+ y 1))) (>= x1 y1))))
-(check-sat)
-)";
-  TermManager TM;
-  ChcSystem System(TM);
-  ChcParseResult R = parseChcText(Text, System);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  ASSERT_EQ(System.predicates().size(), 1u);
-  ASSERT_EQ(System.clauses().size(), 3u);
-  EXPECT_TRUE(System.isRecursive());
-  EXPECT_TRUE(System.clauses()[2].isQuery());
-
-  // The paper's invariant solves the parsed system too.
-  const Predicate *P = System.findPredicate("p");
-  Interpretation A(TM);
-  A.set(P, TM.mkAnd(TM.mkGe(P->Params[0], TM.mkIntConst(1)),
-                    TM.mkGe(P->Params[1], TM.mkIntConst(0))));
-  EXPECT_EQ(checkInterpretation(System, A), ClauseStatus::Valid);
-}
-
-TEST(ChcParserTest, RuleQueryStyle) {
-  const char *Text = R"(
-(declare-rel inv (Int))
-(declare-var x Int)
-(rule (=> (= x 0) (inv x)))
-(rule (=> (and (inv x) (< x 10)) (inv (+ x 1))))
-(query inv)
-)";
-  TermManager TM;
-  ChcSystem System(TM);
-  ChcParseResult R = parseChcText(Text, System);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(System.clauses().size(), 3u);
-  EXPECT_TRUE(System.clauses()[2].isQuery());
-  EXPECT_EQ(System.clauses()[2].HeadFormula, TM.mkFalse());
-}
-
-TEST(ChcParserTest, NegatedBodyQuery) {
-  const char *Text = R"(
-(declare-fun p (Int) Bool)
-(assert (forall ((x Int)) (=> (= x 0) (p x))))
-(assert (forall ((x Int)) (not (and (p x) (> x 5)))))
-)";
-  TermManager TM;
-  ChcSystem System(TM);
-  ChcParseResult R = parseChcText(Text, System);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  ASSERT_EQ(System.clauses().size(), 2u);
-  EXPECT_TRUE(System.clauses()[1].isQuery());
-  EXPECT_EQ(System.clauses()[1].Body.size(), 1u);
-}
-
-TEST(ChcParserTest, ArithmeticOperators) {
-  const char *Text = R"(
-(declare-fun p (Int Int) Bool)
-(assert (forall ((x Int) (y Int))
-  (=> (and (= y (* 2 x)) (= (mod y 2) 0) (distinct x y) (<= 0 x y))
-      (p x y))))
-)";
-  TermManager TM;
-  ChcSystem System(TM);
-  ChcParseResult R = parseChcText(Text, System);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  ASSERT_EQ(System.clauses().size(), 1u);
-  const HornClause &C = System.clauses()[0];
-  // distinct x y with y = 2x and x, y >= 0 forces x >= 1 at, e.g., x=1,y=2.
-  std::unordered_map<const Term *, Rational> Asg{
-      {TM.mkVar("x"), Rational(1)}, {TM.mkVar("y"), Rational(2)}};
-  EXPECT_TRUE(evalFormula(C.Constraint, Asg));
-  Asg[TM.mkVar("y")] = Rational(1);
-  EXPECT_FALSE(evalFormula(C.Constraint, Asg));
-}
-
-TEST(ChcParserTest, ErrorDiagnostics) {
-  TermManager TM;
-  auto Expect = [&](const char *Text, const char *Fragment) {
-    ChcSystem System(TM);
-    ChcParseResult R = parseChcText(Text, System);
-    EXPECT_FALSE(R.Ok) << Text;
-    EXPECT_NE(R.Error.find(Fragment), std::string::npos)
-        << R.Error << " vs " << Fragment;
-  };
-  Expect("(declare-fun p (Real) Bool)", "sort Int");
-  Expect("(frobnicate)", "unsupported command");
-  Expect("(assert (q 1))", "unknown operator or predicate");
-  Expect("(declare-fun p (Int) Bool)(assert (p 1 2))", "arity mismatch");
-  Expect("(declare-fun p (Int) Bool)(assert (forall ((x Int)) "
-         "(=> (or (p x) (> x 0)) false)))",
-         "not a Horn clause");
-  Expect("(declare-fun p (Int) Bool)(assert (* x y))",
-         "non-linear multiplication");
-}
-
-TEST(ChcParserTest, NonRecursiveSystemDetected) {
-  const char *Text = R"(
-(declare-fun a (Int) Bool)
-(declare-fun b (Int) Bool)
-(assert (forall ((x Int)) (=> (= x 0) (a x))))
-(assert (forall ((x Int)) (=> (a x) (b x))))
-(assert (forall ((x Int)) (=> (b x) (>= x 0))))
-)";
-  TermManager TM;
-  ChcSystem System(TM);
-  ASSERT_TRUE(parseChcText(Text, System).Ok);
-  EXPECT_FALSE(System.isRecursive());
-  EXPECT_TRUE(System.recursivePredicates().empty());
-}
-
-TEST(ChcParserTest, MutualRecursionDetected) {
-  const char *Text = R"(
-(declare-fun even (Int) Bool)
-(declare-fun odd (Int) Bool)
-(assert (forall ((x Int)) (=> (= x 0) (even x))))
-(assert (forall ((x Int)) (=> (even x) (odd (+ x 1)))))
-(assert (forall ((x Int)) (=> (odd x) (even (+ x 1)))))
-)";
-  TermManager TM;
-  ChcSystem System(TM);
-  ASSERT_TRUE(parseChcText(Text, System).Ok);
-  EXPECT_TRUE(System.isRecursive());
-  EXPECT_EQ(System.recursivePredicates().size(), 2u);
 }
 
 } // namespace

@@ -14,9 +14,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/InlinePass.h"
-#include "chc/ChcParser.h"
 #include "corpus/Harness.h"
 #include "frontend/Encoder.h"
+#include "smtlib2/Parser.h"
 #include "solver/DataDrivenSolver.h"
 
 #include <gtest/gtest.h>
@@ -34,8 +34,8 @@ const Predicate *findPred(const ChcSystem &System, const std::string &Name) {
   return nullptr;
 }
 
-ChcParseResult parse(const char *Text, ChcSystem &System) {
-  return parseChcText(Text, System);
+smtlib2::ParseResult parse(const char *Text, ChcSystem &System) {
+  return smtlib2::parseSmtLib2(Text, System);
 }
 
 /// `mid` and `out` form a chain off the loop invariant; only `mid` may be

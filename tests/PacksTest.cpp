@@ -15,9 +15,9 @@
 #include "analysis/OctagonAnalysis.h"
 #include "analysis/PassManager.h"
 #include "analysis/VariablePacks.h"
-#include "chc/ChcParser.h"
 #include "corpus/Corpus.h"
 #include "frontend/Encoder.h"
+#include "smtlib2/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -73,8 +73,8 @@ constexpr const char *RelationalSystem = R"(
 )";
 
 void parse(const char *Text, ChcSystem &System) {
-  ChcParseResult P = parseChcText(Text, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 }
 
 //===----------------------------------------------------------------------===//

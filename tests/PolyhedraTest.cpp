@@ -7,22 +7,21 @@
 /// \file
 /// Tests for the template-polyhedra rung: the LP front end over the exact
 /// simplex, the `TemplatePolyhedron` lattice, static template mining, the
-/// three-rung verify ladder, cooperative cancellation inside value-internal
-/// loops, and the fixpoint-engine corner cases the domain leans on. The
-/// corpus differential at the bottom pins that adding rungs to the ladder
-/// never loses a static discharge.
+/// two-rung verify ladder, cooperative cancellation inside value-internal
+/// loops, and the fixpoint-engine corner cases the domains lean on. The
+/// corpus differential at the bottom pins that adding the polyhedra rung to
+/// the ladder never loses a static discharge.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DomainCancellation.h"
 #include "analysis/FixpointEngine.h"
-#include "analysis/IntervalAnalysis.h"
 #include "analysis/OctagonAnalysis.h"
 #include "analysis/PassManager.h"
 #include "analysis/TemplateAnalysis.h"
-#include "chc/ChcParser.h"
 #include "corpus/Harness.h"
 #include "smt/LpSolver.h"
+#include "smtlib2/Parser.h"
 #include "solver/DataDrivenSolver.h"
 
 #include <gtest/gtest.h>
@@ -324,8 +323,8 @@ constexpr const char *TwoToOneSystem = R"(
 TEST(TemplateMiningTest, HarvestsQueryGuardRows) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(TwoToOneSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(TwoToOneSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "p");
 
   AnalysisContext Ctx(System);
@@ -356,8 +355,8 @@ TEST(TemplateMiningTest, HarvestsQueryGuardRows) {
 TEST(TemplateMiningTest, MaskedPredicatesGetEmptyMatrices) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(TwoToOneSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(TwoToOneSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "p");
 
   AnalysisContext Ctx(System);
@@ -370,17 +369,16 @@ TEST(TemplateMiningTest, MaskedPredicatesGetEmptyMatrices) {
 TEST(TemplateAnalysisTest, FindsCoefficientTwoInvariant) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(TwoToOneSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(TwoToOneSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "p");
 
   AnalysisContext Ctx(System);
 
-  // Neither of the lower rungs can express x <= 2y: intervals see both
-  // arguments unbounded above, octagons only unit coefficients.
-  std::vector<IntervalState> IStates = runIntervalAnalysis(Ctx);
-  EXPECT_FALSE(IStates[Pred->Index].Value[0].hasHi());
+  // The octagon rung cannot express x <= 2y: its unary rows see both
+  // arguments unbounded above, its pair rows only unit coefficients.
   std::vector<OctagonState> OStates = runOctagonAnalysis(Ctx);
+  EXPECT_FALSE(OStates[Pred->Index].Value.boundOf(0).hasHi());
   Interpretation OctOnly(TM);
   if (const Term *OctInv = octagonInvariant(TM, Pred, OStates[Pred->Index]))
     OctOnly.set(Pred, OctInv);
@@ -422,8 +420,8 @@ TEST(TemplateAnalysisTest, FindsCoefficientTwoInvariant) {
 TEST(TemplateAnalysisTest, PipelineDischargesBeyondOctagonQuery) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(TwoToOneSystem, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(TwoToOneSystem, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   // The pre-polyhedra ladder cannot discharge the query statically.
   AnalysisOptions NoPoly;
@@ -472,11 +470,17 @@ constexpr const char *CountToThree = R"(
 (assert (forall ((n Int)) (=> (inv n) (<= n 3))))
 )";
 
+/// The octagon domain over \p Ctx's pack layout with no transfer memo, so
+/// every engine run below starts from scratch.
+OctagonDomain coldOctagons(const AnalysisContext &Ctx) {
+  return OctagonDomain(Ctx.packs(), Ctx.Opts.Packs, /*Cache=*/nullptr);
+}
+
 TEST(FixpointEngineTest, WideningDelayBoundaryIsExclusive) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(CountToThree, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(CountToThree, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Pred = findPred(System, "inv");
 
   // Reaching the fixpoint takes exactly 3 joins (n = 1, 2, 3 after the
@@ -486,10 +490,10 @@ TEST(FixpointEngineTest, WideningDelayBoundaryIsExclusive) {
   FixpointOptions AtBoundary;
   AtBoundary.WideningDelay = 3;
   AtBoundary.NarrowingPasses = 0;
-  std::vector<IntervalState> S =
-      runDomainAnalysis(IntervalDomain(), Ctx, AtBoundary);
+  std::vector<OctagonState> S =
+      runDomainAnalysis(coldOctagons(Ctx), Ctx, AtBoundary);
   ASSERT_TRUE(S[Pred->Index].Reachable);
-  EXPECT_EQ(S[Pred->Index].Value[0],
+  EXPECT_EQ(S[Pred->Index].Value.boundOf(0),
             Interval::range(Rational(0), Rational(3)));
 
   // One join earlier (Delay == 2) the third join widens: without narrowing
@@ -497,14 +501,14 @@ TEST(FixpointEngineTest, WideningDelayBoundaryIsExclusive) {
   FixpointOptions BelowBoundary;
   BelowBoundary.WideningDelay = 2;
   BelowBoundary.NarrowingPasses = 0;
-  S = runDomainAnalysis(IntervalDomain(), Ctx, BelowBoundary);
-  EXPECT_EQ(S[Pred->Index].Value[0].lo(), Rational(0));
-  EXPECT_FALSE(S[Pred->Index].Value[0].hasHi());
+  S = runDomainAnalysis(coldOctagons(Ctx), Ctx, BelowBoundary);
+  EXPECT_EQ(S[Pred->Index].Value.boundOf(0).lo(), Rational(0));
+  EXPECT_FALSE(S[Pred->Index].Value.boundOf(0).hasHi());
 
   // ... and one descending pass recovers it from the loop guard.
   BelowBoundary.NarrowingPasses = 1;
-  S = runDomainAnalysis(IntervalDomain(), Ctx, BelowBoundary);
-  EXPECT_EQ(S[Pred->Index].Value[0],
+  S = runDomainAnalysis(coldOctagons(Ctx), Ctx, BelowBoundary);
+  EXPECT_EQ(S[Pred->Index].Value.boundOf(0),
             Interval::range(Rational(0), Rational(3)));
 }
 
@@ -519,8 +523,8 @@ TEST(FixpointEngineTest, UnreachablePredicateStaysBottom) {
 )";
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(Unreachable, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Unreachable, System);
+  ASSERT_TRUE(P.Ok) << P.error();
   const Predicate *Q = findPred(System, "q");
 
   // `q` has no fact clause: bottom propagates through its self-loop and it
@@ -528,7 +532,6 @@ TEST(FixpointEngineTest, UnreachablePredicateStaysBottom) {
   AnalysisContext Ctx(System);
   Ctx.Opts.EnableInlining = false;
   Ctx.Opts.EnableSlicing = false;
-  EXPECT_FALSE(runIntervalAnalysis(Ctx)[Q->Index].Reachable);
   EXPECT_FALSE(runOctagonAnalysis(Ctx)[Q->Index].Reachable);
   EXPECT_FALSE(runTemplateAnalysis(Ctx)[Q->Index].Reachable);
 
@@ -546,31 +549,31 @@ TEST(FixpointEngineTest, UnreachablePredicateStaysBottom) {
 TEST(FixpointEngineTest, SweepCapTelemetryIsSurfaced) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(CountToThree, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(CountToThree, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 
   // The loop needs several sweeps; a cap of 1 must fire the safety net.
   AnalysisContext Ctx(System);
   FixpointOptions Capped;
   Capped.MaxSweeps = 1;
   FixpointTelemetry Tele;
-  runDomainAnalysis(IntervalDomain(), Ctx, Capped, &Tele);
+  runDomainAnalysis(coldOctagons(Ctx), Ctx, Capped, &Tele);
   EXPECT_EQ(Tele.Sweeps, 1u);
   EXPECT_TRUE(Tele.HitSweepCap);
 
   // Defaults converge and report clean telemetry.
   FixpointTelemetry Clean;
-  runDomainAnalysis(IntervalDomain(), Ctx, FixpointOptions(), &Clean);
+  runDomainAnalysis(coldOctagons(Ctx), Ctx, FixpointOptions(), &Clean);
   EXPECT_FALSE(Clean.HitSweepCap);
   EXPECT_GT(Clean.Sweeps, 1u);
 
   // And the cap hit reaches the per-pass statistics.
   AnalysisOptions Opts;
-  Opts.Intervals.MaxSweeps = 1;
+  Opts.Octagons.MaxSweeps = 1;
   AnalysisResult R = analyzeSystem(System, Opts);
   bool Reported = false;
   for (const PassStats &PS : R.Passes)
-    if (PS.Name == "intervals") {
+    if (PS.Name == "octagons") {
       EXPECT_TRUE(PS.HitSweepCap);
       EXPECT_EQ(PS.SweepCapHits, 1u);
       Reported = true;
@@ -584,7 +587,7 @@ TEST(FixpointEngineTest, SweepCapTelemetryIsSurfaced) {
 //===----------------------------------------------------------------------===//
 
 TEST(PolyhedraCorpusTest, LadderOnlyStrengthensStaticDischarges) {
-  size_t IntervalOnly = 0, WithOctagons = 0, Full = 0, Programs = 0;
+  size_t WithOctagons = 0, Full = 0, Programs = 0;
   size_t Skipped = 0;
   for (const corpus::BenchmarkProgram &Prog : corpus::allPrograms()) {
     if (!Prog.ExpectedSafe)
@@ -594,38 +597,30 @@ TEST(PolyhedraCorpusTest, LadderOnlyStrengthensStaticDischarges) {
     frontend::EncodeResult E = frontend::encodeMiniC(Prog.Source, System);
     ASSERT_TRUE(E.Ok) << Prog.Name << ": " << E.Error;
 
-    AnalysisOptions A;
-    A.EnableOctagons = false;
-    A.EnablePolyhedra = false;
-    A.TimeoutSeconds = 2;
-    AnalysisResult RI = analyzeSystem(System, A);
+    AnalysisOptions OctOnly;
+    OctOnly.EnablePolyhedra = false;
+    OctOnly.TimeoutSeconds = 2;
+    AnalysisResult RO = analyzeSystem(System, OctOnly);
 
-    AnalysisOptions B;
-    B.EnablePolyhedra = false;
-    B.TimeoutSeconds = 2;
-    AnalysisResult RO = analyzeSystem(System, B);
-
-    AnalysisOptions C;
-    C.TimeoutSeconds = 2;
-    AnalysisResult RF = analyzeSystem(System, C);
+    AnalysisOptions Both;
+    Both.TimeoutSeconds = 2;
+    AnalysisResult RF = analyzeSystem(System, Both);
 
     // A config that ran out of budget mid-pipeline proves nothing about
     // ladder strength (its later rungs ran degraded or not at all), so the
-    // differential only counts programs where all three configs converged.
+    // differential only counts programs where both configs converged.
     // The scalability-family programs with hundreds of SSA dimensions per
     // clause land here by design.
-    if (RI.TimedOut || RO.TimedOut || RF.TimedOut) {
+    if (RO.TimedOut || RF.TimedOut) {
       ++Skipped;
       continue;
     }
     ++Programs;
-    bool I = RI.ProvedSat, O = RO.ProvedSat, F = RF.ProvedSat;
+    bool O = RO.ProvedSat, F = RF.ProvedSat;
 
-    // Strengthening must be monotone per program: a rung added on top of
-    // the ladder can never lose a discharge the shorter ladder had.
-    EXPECT_LE(I, O) << Prog.Name;
+    // Strengthening must be monotone per program: the polyhedra rung added
+    // on top of the octagon rung can never lose a discharge it had.
     EXPECT_LE(O, F) << Prog.Name;
-    IntervalOnly += I;
     WithOctagons += O;
     Full += F;
 
@@ -646,9 +641,9 @@ TEST(PolyhedraCorpusTest, LadderOnlyStrengthensStaticDischarges) {
     }
   }
   ASSERT_GT(Programs, 0u);
-  printf("static discharges: intervals %zu, +octagons %zu, +polyhedra %zu "
-         "of %zu safe programs (%zu budget-skipped)\n",
-         IntervalOnly, WithOctagons, Full, Programs, Skipped);
+  printf("static discharges: +octagons %zu, +polyhedra %zu of %zu safe "
+         "programs (%zu budget-skipped)\n",
+         WithOctagons, Full, Programs, Skipped);
   // The acceptance bar of this PR: the polyhedra rung strictly grows the
   // set of statically discharged programs.
   EXPECT_GT(Full, WithOctagons);

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "baselines/RegisterEngines.h"
-#include "chc/ChcParser.h"
 #include "corpus/Harness.h"
+#include "smtlib2/Parser.h"
 #include "solver/Plan.h"
 #include "solver/SolveFacade.h"
 #include "support/Timer.h"
@@ -54,8 +54,8 @@ constexpr const char *DivergingText = R"(
 )";
 
 void parseInto(const char *Text, ChcSystem &System) {
-  ChcParseResult P = parseChcText(Text, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 }
 
 /// Stub engine with scripted behavior, for winner-selection and isolation

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "baselines/RegisterEngines.h"
-#include "chc/ChcParser.h"
 #include "corpus/Harness.h"
 #include "corpus/Smt2Corpus.h"
 #include "frontend/Encoder.h"
@@ -54,8 +53,8 @@ constexpr const char *DivergingText = R"(
 )";
 
 void parseInto(const char *Text, ChcSystem &System) {
-  ChcParseResult P = parseChcText(Text, System);
-  ASSERT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+  ASSERT_TRUE(P.Ok) << P.error();
 }
 
 EngineInfo info(const char *Id, CostClass Cost, bool SupportsNonlinear = true,

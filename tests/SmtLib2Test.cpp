@@ -4,11 +4,14 @@
 //
 // The strict SMT-LIB2 HORN front end: located diagnostics, the supported
 // term fragment (Bool columns, let, ite, div/mod), the Z3 fixedpoint
-// dialect, the bundled `.smt2` corpus, and the printer round-trip
+// dialect, the shapes the solver layers rely on (the paper's Fig. 1,
+// rule/query and negated-body queries, recursion detection), the bundled
+// `.smt2` corpus, and the printer round-trip
 // (mini-C corpus -> printed SMT-LIB2 -> reparsed -> identical verdicts).
 //
 //===----------------------------------------------------------------------===//
 
+#include "chc/ChcCheck.h"
 #include "corpus/Corpus.h"
 #include "corpus/Smt2Corpus.h"
 #include "frontend/Encoder.h"
@@ -17,6 +20,8 @@
 #include "solver/SolveFacade.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 using namespace la;
 using namespace la::chc;
@@ -211,6 +216,145 @@ TEST(SmtLib2ParserTest, ShadowingBinderIsRenamedApart) {
   ASSERT_TRUE(C.HeadPred.has_value());
   ASSERT_EQ(C.HeadPred->Args.size(), 1u);
   EXPECT_NE(C.HeadPred->Args[0]->name(), "g");
+}
+
+//===----------------------------------------------------------------------===//
+// Systems the solver layers rely on
+//===----------------------------------------------------------------------===//
+
+TEST(SmtLib2ParserTest, ParsesFig1SmtLib) {
+  const char *Text = R"(
+(set-logic HORN)
+(declare-fun p (Int Int) Bool)
+(assert (forall ((x Int) (y Int))
+  (=> (and (= x 1) (= y 0)) (p x y))))
+(assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
+  (=> (and (p x y) (= x1 (+ x y)) (= y1 (+ y 1))) (p x1 y1))))
+(assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
+  (=> (and (p x y) (= x1 (+ x y)) (= y1 (+ y 1))) (>= x1 y1))))
+(check-sat)
+)";
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult R = parseText(Text, System);
+  ASSERT_TRUE(R.Ok) << R.error();
+  ASSERT_EQ(System.predicates().size(), 1u);
+  ASSERT_EQ(System.clauses().size(), 3u);
+  EXPECT_TRUE(System.isRecursive());
+  EXPECT_TRUE(System.clauses()[2].isQuery());
+
+  // The paper's invariant solves the parsed system too.
+  const Predicate *P = System.findPredicate("p");
+  Interpretation A(TM);
+  A.set(P, TM.mkAnd(TM.mkGe(P->Params[0], TM.mkIntConst(1)),
+                    TM.mkGe(P->Params[1], TM.mkIntConst(0))));
+  EXPECT_EQ(checkInterpretation(System, A), ClauseStatus::Valid);
+}
+
+TEST(SmtLib2ParserTest, RuleQueryStyle) {
+  const char *Text = R"(
+(declare-rel inv (Int))
+(declare-var x Int)
+(rule (=> (= x 0) (inv x)))
+(rule (=> (and (inv x) (< x 10)) (inv (+ x 1))))
+(query inv)
+)";
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult R = parseText(Text, System);
+  ASSERT_TRUE(R.Ok) << R.error();
+  EXPECT_EQ(System.clauses().size(), 3u);
+  EXPECT_TRUE(System.clauses()[2].isQuery());
+  EXPECT_EQ(System.clauses()[2].HeadFormula, TM.mkFalse());
+}
+
+TEST(SmtLib2ParserTest, NegatedBodyQuery) {
+  const char *Text = R"(
+(declare-fun p (Int) Bool)
+(assert (forall ((x Int)) (=> (= x 0) (p x))))
+(assert (forall ((x Int)) (not (and (p x) (> x 5)))))
+)";
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult R = parseText(Text, System);
+  ASSERT_TRUE(R.Ok) << R.error();
+  ASSERT_EQ(System.clauses().size(), 2u);
+  EXPECT_TRUE(System.clauses()[1].isQuery());
+  EXPECT_EQ(System.clauses()[1].Body.size(), 1u);
+}
+
+TEST(SmtLib2ParserTest, ArithmeticOperators) {
+  const char *Text = R"(
+(declare-fun p (Int Int) Bool)
+(assert (forall ((x Int) (y Int))
+  (=> (and (= y (* 2 x)) (= (mod y 2) 0) (distinct x y) (<= 0 x y))
+      (p x y))))
+)";
+  TermManager TM;
+  ChcSystem System(TM);
+  ParseResult R = parseText(Text, System);
+  ASSERT_TRUE(R.Ok) << R.error();
+  ASSERT_EQ(System.clauses().size(), 1u);
+  const HornClause &C = System.clauses()[0];
+  // distinct x y with y = 2x and x, y >= 0 forces x >= 1 at, e.g., x=1,y=2.
+  std::unordered_map<const Term *, Rational> Asg{
+      {TM.mkVar("x"), Rational(1)}, {TM.mkVar("y"), Rational(2)}};
+  EXPECT_TRUE(evalFormula(C.Constraint, Asg));
+  Asg[TM.mkVar("y")] = Rational(1);
+  EXPECT_FALSE(evalFormula(C.Constraint, Asg));
+}
+
+/// One located diagnostic per kind of malformed input: each offending
+/// command sits on line 2, after a well-formed first line.
+TEST(SmtLib2ParserTest, ErrorDiagnostics) {
+  auto Expect = [](const std::string &Line2, const char *Fragment) {
+    ParseResult P = expectParseError("(set-logic HORN)\n" + Line2);
+    EXPECT_NE(P.Message.find(Fragment), std::string::npos)
+        << P.Message << " vs " << Fragment;
+    EXPECT_EQ(P.Line, 2u) << P.error();
+    EXPECT_GT(P.Col, 0u) << P.error();
+  };
+  Expect("(declare-fun p (Real) Bool)", "unsupported sort 'Real'");
+  Expect("(frobnicate)", "unsupported command 'frobnicate'");
+  Expect("(assert (q 1))", "unknown function or predicate 'q'");
+  Expect("(declare-fun p (Int) Bool)(assert (p 1 2))",
+         "expects 1 arguments, got 2");
+  Expect("(declare-fun p (Int) Bool)(assert (forall ((x Int)) "
+         "(=> (or (p x) (> x 0)) false)))",
+         "not a Horn clause");
+  Expect("(declare-fun p (Int Int) Bool)(assert (forall ((x Int) (y Int)) "
+         "(=> (= x (* x y)) (p x y))))",
+         "non-linear");
+}
+
+TEST(SmtLib2ParserTest, NonRecursiveSystemDetected) {
+  const char *Text = R"(
+(declare-fun a (Int) Bool)
+(declare-fun b (Int) Bool)
+(assert (forall ((x Int)) (=> (= x 0) (a x))))
+(assert (forall ((x Int)) (=> (a x) (b x))))
+(assert (forall ((x Int)) (=> (b x) (>= x 0))))
+)";
+  TermManager TM;
+  ChcSystem System(TM);
+  ASSERT_TRUE(parseText(Text, System).Ok);
+  EXPECT_FALSE(System.isRecursive());
+  EXPECT_TRUE(System.recursivePredicates().empty());
+}
+
+TEST(SmtLib2ParserTest, MutualRecursionDetected) {
+  const char *Text = R"(
+(declare-fun even (Int) Bool)
+(declare-fun odd (Int) Bool)
+(assert (forall ((x Int)) (=> (= x 0) (even x))))
+(assert (forall ((x Int)) (=> (even x) (odd (+ x 1)))))
+(assert (forall ((x Int)) (=> (odd x) (even (+ x 1)))))
+)";
+  TermManager TM;
+  ChcSystem System(TM);
+  ASSERT_TRUE(parseText(Text, System).Ok);
+  EXPECT_TRUE(System.isRecursive());
+  EXPECT_EQ(System.recursivePredicates().size(), 2u);
 }
 
 //===----------------------------------------------------------------------===//

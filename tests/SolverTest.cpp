@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "chc/ChcParser.h"
+#include "smtlib2/Parser.h"
 #include "solver/DataDrivenSolver.h"
 #include "solver/SolveFacade.h"
 
@@ -32,8 +32,8 @@ ChcResult solveText(const char *Text,
                     DataDrivenOptions Opts = testOptions()) {
   TermManager TM;
   ChcSystem System(TM);
-  ChcParseResult P = parseChcText(Text, System);
-  EXPECT_TRUE(P.Ok) << P.Error;
+  smtlib2::ParseResult P = smtlib2::parseSmtLib2(Text, System);
+  EXPECT_TRUE(P.Ok) << P.error();
   DataDrivenChcSolver Solver(Opts);
   ChcSolverResult R = Solver.solve(System);
   if (R.Status == ChcResult::Sat) {
@@ -212,15 +212,14 @@ TEST(DataDrivenSolverTest, PerceptronBackend) {
 
 /// Trivially-safe system: valid with A = true, zero iterations.
 TEST(DataDrivenSolverTest, TriviallySafe) {
-  TermManager TM;
-  ChcSystem System(TM);
-  ASSERT_TRUE(parseChcText(R"(
+  constexpr const char *Text = R"(
 (declare-fun p (Int) Bool)
 (assert (forall ((x Int)) (=> (> x 0) (p x))))
 (assert (forall ((x Int)) (=> (p x) true)))
-)",
-                           System)
-                  .Ok);
+)";
+  TermManager TM;
+  ChcSystem System(TM);
+  ASSERT_TRUE(smtlib2::parseSmtLib2(Text, System).Ok);
   DataDrivenChcSolver Solver(testOptions());
   ChcSolverResult R = Solver.solve(System);
   EXPECT_EQ(R.Status, ChcResult::Sat);
