@@ -42,6 +42,20 @@ static void BM_RationalArithmetic(benchmark::State &State) {
 }
 BENCHMARK(BM_RationalArithmetic);
 
+/// The scalar step of Octagon::close on the integer bounds that dominate
+/// it: sum two single-digit entries, compare against the current one and
+/// keep the smaller, then halve-and-compare as the strengthening step does.
+static void BM_RationalSmallIntegers(benchmark::State &State) {
+  Rational PK(3), KQ(-7), PQ(5), Unary(8);
+  for (auto _ : State) {
+    Rational Via = PK + KQ;
+    Rational Kept = Via < PQ ? Via : PQ;
+    Rational Doubled = Unary * Rational(2);
+    benchmark::DoNotOptimize(Kept.compare(Doubled));
+  }
+}
+BENCHMARK(BM_RationalSmallIntegers);
+
 /// Simplex feasibility on a random bounded system of the size a CHC VC has.
 static void BM_SimplexCheck(benchmark::State &State) {
   const int NumVars = static_cast<int>(State.range(0));

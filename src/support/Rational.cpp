@@ -19,6 +19,8 @@ Rational::Rational(BigInt Numerator, BigInt Denominator)
     Den = BigInt(1);
     return;
   }
+  if (Den.isOne())
+    return;
   BigInt G = BigInt::gcd(Num, Den);
   if (!G.isOne()) {
     Num = Num / G;
@@ -58,15 +60,24 @@ Rational Rational::inverse() const {
   return Rational(Den, Num);
 }
 
+// Integer operands (denominator 1) are common: their sum, difference and
+// product are integers already in lowest terms.
+
 Rational Rational::operator+(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num + RHS.Num);
   return Rational(Num * RHS.Den + RHS.Num * Den, Den * RHS.Den);
 }
 
 Rational Rational::operator-(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num - RHS.Num);
   return Rational(Num * RHS.Den - RHS.Num * Den, Den * RHS.Den);
 }
 
 Rational Rational::operator*(const Rational &RHS) const {
+  if (isInteger() && RHS.isInteger())
+    return Rational(Num * RHS.Num);
   return Rational(Num * RHS.Num, Den * RHS.Den);
 }
 
@@ -76,6 +87,8 @@ Rational Rational::operator/(const Rational &RHS) const {
 }
 
 int Rational::compare(const Rational &RHS) const {
+  if (Den == RHS.Den)
+    return Num.compare(RHS.Num);
   return (Num * RHS.Den).compare(RHS.Num * Den);
 }
 

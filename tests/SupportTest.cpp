@@ -138,6 +138,190 @@ TEST(BigIntTest, PropertyRingAxioms) {
   }
 }
 
+// Values in [-(2^63-1), 2^63-1] are stored inline; the cases below cross that
+// boundary in both directions. Equality compares the representation, so a
+// result left in the limb form after it shrinks back into range fails it.
+
+namespace {
+const BigInt &twoTo63() {
+  static const BigInt V = *BigInt::fromString("9223372036854775808");
+  return V;
+}
+const BigInt &twoTo64() {
+  static const BigInt V = *BigInt::fromString("18446744073709551616");
+  return V;
+}
+} // namespace
+
+TEST(BigIntTest, OverflowPromotesToLimbs) {
+  const BigInt Max(INT64_MAX), One(1);
+  EXPECT_EQ((Max + One).toString(), "9223372036854775808");
+  EXPECT_EQ((-Max - BigInt(2)).toString(), "-9223372036854775809");
+  EXPECT_EQ((Max * BigInt(2)).toString(), "18446744073709551614");
+  EXPECT_EQ((Max * Max).toString(), "85070591730234615847396907784232501249");
+  EXPECT_EQ((BigInt(INT64_MIN + 1) - One).toString(), "-9223372036854775808");
+  EXPECT_EQ((BigInt(INT64_MIN + 1) + BigInt(-1)).toString(),
+            "-9223372036854775808");
+  EXPECT_EQ((BigInt(-(int64_t(1) << 62)) * BigInt(2)).toString(),
+            "-9223372036854775808");
+  EXPECT_EQ(Max + One, twoTo63());
+  EXPECT_EQ(-(Max + One), BigInt(INT64_MIN));
+}
+
+TEST(BigIntTest, LimbResultsDemote) {
+  const BigInt Max(INT64_MAX), One(1);
+  EXPECT_EQ(twoTo63() - One, Max);
+  EXPECT_EQ(twoTo64() - twoTo63() - One, Max);
+  EXPECT_EQ(BigInt(INT64_MIN) + One, BigInt(INT64_MIN + 1));
+  EXPECT_EQ(twoTo64() / BigInt(4), BigInt(int64_t(1) << 62));
+  EXPECT_EQ(twoTo64() % (Max + One), BigInt(0));
+  EXPECT_EQ((twoTo64() + BigInt(5)) % twoTo63(), BigInt(5));
+  EXPECT_EQ(twoTo64() * BigInt(0), BigInt(0));
+  EXPECT_EQ(twoTo64() - twoTo64(), BigInt(0));
+  EXPECT_EQ((Max * Max) / Max, Max);
+  EXPECT_EQ(BigInt(INT64_MIN).abs(), twoTo63());
+  EXPECT_EQ(-twoTo63(), BigInt(INT64_MIN));
+  EXPECT_EQ((twoTo63() - One).toInt64().value_or(0), INT64_MAX);
+  EXPECT_EQ((twoTo63() - One).bitLength(), 63u);
+  EXPECT_EQ(twoTo63().bitLength(), 64u);
+}
+
+TEST(BigIntTest, Int64MinDividedByMinusOne) {
+  const BigInt Min(INT64_MIN), MinusOne(-1);
+  EXPECT_EQ(Min / MinusOne, twoTo63());
+  EXPECT_EQ(Min % MinusOne, BigInt(0));
+  EXPECT_EQ(Min / BigInt(1), Min);
+  EXPECT_EQ((Min / BigInt(2)).toString(), "-4611686018427387904");
+  EXPECT_EQ(BigInt(INT64_MAX) / MinusOne, BigInt(-INT64_MAX));
+  // An inline dividend over a limb-form divisor.
+  BigInt::DivModResult QR = BigInt(-7).divMod(Min);
+  EXPECT_EQ(QR.Quotient, BigInt(0));
+  EXPECT_EQ(QR.Remainder, BigInt(-7));
+  EXPECT_EQ(Min.euclideanMod(BigInt(10)), BigInt(2));
+}
+
+TEST(BigIntTest, GcdWithInt64Min) {
+  const BigInt Min(INT64_MIN);
+  EXPECT_EQ(BigInt::gcd(Min, BigInt(0)), twoTo63());
+  EXPECT_EQ(BigInt::gcd(BigInt(0), Min), twoTo63());
+  EXPECT_EQ(BigInt::gcd(Min, Min), twoTo63());
+  EXPECT_EQ(BigInt::gcd(Min, BigInt(6)), BigInt(2));
+  EXPECT_EQ(BigInt::gcd(Min, BigInt(-(int64_t(1) << 40))),
+            BigInt(int64_t(1) << 40));
+  EXPECT_EQ(BigInt::gcd(Min, BigInt(INT64_MAX)), BigInt(1));
+  EXPECT_EQ(BigInt::gcd(BigInt(INT64_MAX), BigInt(-INT64_MAX)),
+            BigInt(INT64_MAX));
+}
+
+TEST(BigIntTest, ToInt64AtInt64Min) {
+  EXPECT_EQ(BigInt(INT64_MIN).toInt64().value_or(0), INT64_MIN);
+  EXPECT_EQ((BigInt(INT64_MIN + 1) - BigInt(1)).toInt64().value_or(0),
+            INT64_MIN);
+  EXPECT_EQ((-twoTo63()).toInt64().value_or(0), INT64_MIN);
+  EXPECT_FALSE(twoTo63().toInt64().has_value());
+  EXPECT_FALSE((BigInt(INT64_MIN) - BigInt(1)).toInt64().has_value());
+  EXPECT_FALSE(twoTo64().toInt64().has_value());
+  EXPECT_EQ(BigInt(INT64_MIN).toDouble(), -9223372036854775808.0);
+}
+
+TEST(BigIntTest, StringRoundTripAroundTwoTo63) {
+  for (const char *Text :
+       {"9223372036854775806", "9223372036854775807", "9223372036854775808",
+        "9223372036854775809", "-9223372036854775807", "-9223372036854775808",
+        "-9223372036854775809", "18446744073709551615", "18446744073709551616",
+        "-18446744073709551617"}) {
+    auto Parsed = BigInt::fromString(Text);
+    ASSERT_TRUE(Parsed.has_value()) << Text;
+    EXPECT_EQ(Parsed->toString(), Text);
+  }
+  EXPECT_EQ(*BigInt::fromString("9223372036854775807"), BigInt(INT64_MAX));
+  EXPECT_EQ(*BigInt::fromString("-9223372036854775808"), BigInt(INT64_MIN));
+  EXPECT_EQ(*BigInt::fromString("-0"), BigInt(0));
+  EXPECT_EQ(BigInt(INT64_MIN).toString(), "-9223372036854775808");
+}
+
+namespace {
+std::string int128ToString(__int128 V) {
+  if (V == 0)
+    return "0";
+  unsigned __int128 Mag = V < 0 ? -static_cast<unsigned __int128>(V)
+                                : static_cast<unsigned __int128>(V);
+  std::string Digits;
+  for (; Mag != 0; Mag /= 10)
+    Digits.insert(Digits.begin(), static_cast<char>('0' + int(Mag % 10)));
+  return V < 0 ? "-" + Digits : Digits;
+}
+
+BigInt fromInt128(__int128 V) { return *BigInt::fromString(int128ToString(V)); }
+
+bool fitsInt64(__int128 V) { return V >= INT64_MIN && V <= INT64_MAX; }
+
+int sign(int V) { return (V > 0) - (V < 0); }
+
+/// An operand within a few units of 0, 2^31, 2^62, 2^63 or 2^64, either sign.
+__int128 nearBoundary(Random &Rng) {
+  static const int Shifts[] = {0, 31, 62, 63, 64};
+  __int128 Anchor = Rng.nextBounded(6) == 0
+                        ? 0
+                        : static_cast<__int128>(1) << Shifts[Rng.nextBounded(5)];
+  __int128 V = Anchor + Rng.nextInRange(-3, 3);
+  return Rng.nextBounded(2) ? -V : V;
+}
+} // namespace
+
+/// Seeded differential of + - * / %, compare and gcd against __int128.
+TEST(BigIntTest, DifferentialAgainstInt128NearBoundary) {
+  Random Rng(63);
+  for (int Iter = 0; Iter < 4000; ++Iter) {
+    const __int128 X = nearBoundary(Rng), Y = nearBoundary(Rng);
+    const BigInt A = fromInt128(X), B = fromInt128(Y);
+    SCOPED_TRACE(int128ToString(X) + " op " + int128ToString(Y));
+    EXPECT_EQ(A.toString(), int128ToString(X));
+    EXPECT_EQ(A.toInt64().has_value(), fitsInt64(X));
+    EXPECT_EQ(A + B, fromInt128(X + Y));
+    EXPECT_EQ((A + B).toInt64().has_value(), fitsInt64(X + Y));
+    EXPECT_EQ(A - B, fromInt128(X - Y));
+    EXPECT_EQ((A - B).toInt64().has_value(), fitsInt64(X - Y));
+    __int128 Product;
+    if (!__builtin_mul_overflow(X, Y, &Product)) {
+      EXPECT_EQ(A * B, fromInt128(Product));
+      EXPECT_EQ((A * B).toInt64().has_value(), fitsInt64(Product));
+    } else {
+      EXPECT_EQ((A * B) / B, A);
+      EXPECT_EQ((A * B) % B, BigInt(0));
+    }
+    if (Y != 0) {
+      EXPECT_EQ(A / B, fromInt128(X / Y));
+      EXPECT_EQ(A % B, fromInt128(X % Y));
+    }
+    EXPECT_EQ(sign(A.compare(B)), (X > Y) - (X < Y));
+    unsigned __int128 G = X < 0 ? -static_cast<unsigned __int128>(X) : X;
+    unsigned __int128 H = Y < 0 ? -static_cast<unsigned __int128>(Y) : Y;
+    while (H != 0) {
+      unsigned __int128 R = G % H;
+      G = H;
+      H = R;
+    }
+    EXPECT_EQ(BigInt::gcd(A, B), fromInt128(static_cast<__int128>(G)));
+  }
+}
+
+/// hash() depends on the value only. These numbers are those of the limb-only
+/// representation that preceded the inline form; unordered containers keyed
+/// by numbers iterate in hash order, so they must not move.
+TEST(BigIntTest, HashIsPinned) {
+  EXPECT_EQ(BigInt(0).hash(), 0ULL);
+  EXPECT_EQ(BigInt(1).hash(), 11400714819323198486ULL);
+  EXPECT_EQ(BigInt(-1).hash(), 14813675350809533518ULL);
+  EXPECT_EQ(BigInt(42).hash(), 11400714819323198527ULL);
+  EXPECT_EQ(BigInt(INT64_MAX).hash(), 2177342782468422676ULL);
+  EXPECT_EQ(BigInt(-INT64_MAX).hash(), 5590303313954757708ULL);
+  EXPECT_EQ(BigInt(INT64_MIN).hash(), 5590303313954757711ULL);
+  EXPECT_EQ(twoTo63().hash(), 2177342782468422677ULL);
+  EXPECT_EQ((twoTo64() + BigInt(3)).hash(), 14813675350809533700ULL);
+  EXPECT_EQ((-twoTo64() - BigInt(3)).hash(), 18111443614409783648ULL);
+}
+
 //===----------------------------------------------------------------------===//
 // Rational
 //===----------------------------------------------------------------------===//
@@ -207,6 +391,49 @@ TEST(RationalTest, PropertyFieldAxioms) {
     EXPECT_TRUE(A.floor() <= A.ceil());
     EXPECT_TRUE(Rational(A.floor()) <= A && A <= Rational(A.ceil()));
   }
+}
+
+TEST(RationalTest, IntegerFastPathsCrossTheBoundary) {
+  const Rational Max(INT64_MAX), One(1);
+  EXPECT_EQ((Max + One).toString(), "9223372036854775808");
+  EXPECT_EQ((Max * Rational(-2)).toString(), "-18446744073709551614");
+  EXPECT_EQ((-Max - One).numerator(), BigInt(INT64_MIN));
+  EXPECT_EQ((Max + One) - One, Max);
+  EXPECT_TRUE((Max * Max).isInteger());
+  EXPECT_LT(Max, Max + One);
+  EXPECT_GT(-Max, -Max - One);
+  // Integer results of fractional operands are integers too.
+  Rational Half(BigInt(1), BigInt(2));
+  EXPECT_TRUE((Half + Half).isInteger());
+  EXPECT_EQ(Half * Rational(4), Rational(2));
+  // A denominator of -1 is made positive before the gcd is skipped.
+  EXPECT_EQ(Rational(BigInt(5), BigInt(-1)).toString(), "-5");
+  EXPECT_EQ(Rational(BigInt(-6), BigInt(-3)).toString(), "2");
+}
+
+TEST(RationalTest, CompareWithEqualDenominators) {
+  const BigInt Big = *BigInt::fromString("18446744073709551617");
+  Rational A(BigInt(1), Big), B(BigInt(-1), Big), C(BigInt(2), Big);
+  EXPECT_LT(B, A);
+  EXPECT_LT(A, C);
+  EXPECT_EQ(A.compare(A), 0);
+  EXPECT_LT(Rational(BigInt(1), BigInt(3)), Rational(BigInt(2), BigInt(3)));
+  EXPECT_GT(Rational(BigInt(-1), BigInt(3)), Rational(BigInt(-2), BigInt(3)));
+  EXPECT_LT(Rational(-3), Rational(2));
+}
+
+/// Pinned like BigIntTest.HashIsPinned.
+TEST(RationalTest, HashIsPinned) {
+  EXPECT_EQ(Rational(0).hash(), 11400714819323198486ULL);
+  EXPECT_EQ(Rational(1).hash(), 14334736817860870848ULL);
+  EXPECT_EQ(Rational(-1).hash(), 9456048851679947144ULL);
+  EXPECT_EQ(Rational::fromString("1/2")->hash(), 14334736817860870849ULL);
+  EXPECT_EQ(Rational::fromString("-3/4")->hash(), 9456048851679946961ULL);
+  EXPECT_EQ(Rational::fromString("9223372036854775807/2")->hash(),
+            5111364781006094979ULL);
+  EXPECT_EQ(
+      Rational::fromString("18446744073709551619/9223372036854775807")->hash(),
+      232676814825176976ULL);
 }
 
 //===----------------------------------------------------------------------===//
