@@ -156,8 +156,13 @@ std::string AnalysisResult::report() const {
 }
 
 AnalysisContext::AnalysisContext(const ChcSystem &System, AnalysisOptions Opts)
-    : TM(System.termManager()), Opts(std::move(Opts)),
-      Clock(this->Opts.TimeoutSeconds), Sys(&System) {
+    : TM(System.termManager()), Opts(std::move(Opts)), Sys(&System) {
+  // The time cap becomes a deadline on the token every pass already polls,
+  // so it also bounds each SMT check and LP the passes issue, not only the
+  // gaps between them.
+  if (this->Opts.TimeoutSeconds > 0)
+    this->Opts.Smt.Cancel = std::make_shared<CancellationToken>(
+        this->Opts.Smt.Cancel, this->Opts.TimeoutSeconds);
   Result.LiveClause.assign(System.clauses().size(), 1);
   SkipPred.assign(System.predicates().size(), 0);
 }

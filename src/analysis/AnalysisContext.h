@@ -212,8 +212,9 @@ using PolyhedraState = DomainPredState<TemplatePolyhedron>;
 struct AnalysisContext {
   TermManager &TM;
   /// Held by value so a context outlives any temporary it was built from.
+  /// `Opts.Smt.Cancel` carries the pipeline's deadline (`TimeoutSeconds`)
+  /// as well as the caller's token.
   AnalysisOptions Opts;
-  Deadline Clock;
   /// Per-predicate-index mask of predicates some earlier pass resolved;
   /// domain engines treat them as unconstrained and never update them.
   /// Maintained by `fix()`; empty means "nothing masked".
@@ -233,12 +234,10 @@ struct AnalysisContext {
   /// `adoptTransformed()`, the input system before).
   const chc::ChcSystem &system() const { return *Sys; }
 
-  /// Pipeline budget check: wall clock or cooperative cancellation (the
-  /// token travels in `Opts.Smt.Cancel`, shared with every SMT check the
+  /// Pipeline budget check: the time cap or cooperative cancellation (both
+  /// travel in the token `Opts.Smt.Cancel`, shared with every SMT check the
   /// passes issue).
-  bool expired() const {
-    return Clock.expired() || isCancelled(Opts.Smt.Cancel);
-  }
+  bool expired() const { return isCancelled(Opts.Smt.Cancel); }
 
   /// Rebinds the context to the inlined system \p T produced by the inline
   /// pass and re-initializes the per-clause / per-predicate masks to its

@@ -11,28 +11,19 @@ using namespace la::analysis;
 
 namespace {
 /// One slot per thread; passes on different portfolio lanes never observe
-/// each other's tokens or deadlines.
+/// each other's tokens.
 thread_local std::shared_ptr<const CancellationToken> ActiveToken;
-thread_local const Deadline *ActiveClock = nullptr;
 } // namespace
 
 DomainCancelScope::DomainCancelScope(
-    std::shared_ptr<const CancellationToken> Token, const Deadline *Clock)
-    : Previous(std::move(ActiveToken)), PreviousClock(ActiveClock) {
+    std::shared_ptr<const CancellationToken> Token)
+    : Previous(std::move(ActiveToken)) {
   ActiveToken = std::move(Token);
-  ActiveClock = Clock;
 }
 
-DomainCancelScope::~DomainCancelScope() {
-  ActiveToken = std::move(Previous);
-  ActiveClock = PreviousClock;
-}
+DomainCancelScope::~DomainCancelScope() { ActiveToken = std::move(Previous); }
 
-bool DomainCancelScope::cancelled() noexcept {
-  if (ActiveToken && ActiveToken->cancelled())
-    return true;
-  return ActiveClock && ActiveClock->expired();
-}
+bool DomainCancelScope::cancelled() noexcept { return isCancelled(ActiveToken); }
 
 const std::shared_ptr<const CancellationToken> &
 DomainCancelScope::current() noexcept {

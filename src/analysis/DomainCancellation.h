@@ -25,30 +25,28 @@
 #define LA_ANALYSIS_DOMAINCANCELLATION_H
 
 #include "support/Cancellation.h"
-#include "support/Timer.h"
 
 namespace la::analysis {
 
-/// RAII installer of the thread-local cancellation token (and optional
-/// analysis deadline) polled by domain-value internal loops. Scopes nest:
-/// the previous slot is restored on destruction.
+/// RAII installer of the thread-local cancellation token polled by
+/// domain-value internal loops. Scopes nest: the previous slot is restored
+/// on destruction.
 ///
-/// The deadline matters because `AnalysisOptions::TimeoutSeconds` is
-/// otherwise only polled between fixpoint sweeps: one octagon transfer over
-/// a clause with hundreds of SSA dimensions (or one LP closure burst) can
-/// blow far past the budget inside a single sweep. With the deadline in the
-/// slot, the same loop-head polls that serve cooperative cancellation also
+/// The analysis installs a token that carries its deadline
+/// (`AnalysisOptions::TimeoutSeconds`): one octagon transfer over a clause
+/// with hundreds of SSA dimensions (or one LP closure burst) could
+/// otherwise blow far past the budget inside a single fixpoint sweep, so
+/// the same loop-head polls that serve cooperative cancellation also
 /// enforce the time budget.
 class DomainCancelScope {
 public:
-  explicit DomainCancelScope(std::shared_ptr<const CancellationToken> Token,
-                             const Deadline *Clock = nullptr);
+  explicit DomainCancelScope(std::shared_ptr<const CancellationToken> Token);
   DomainCancelScope(const DomainCancelScope &) = delete;
   DomainCancelScope &operator=(const DomainCancelScope &) = delete;
   ~DomainCancelScope();
 
-  /// True when this thread's installed token has tripped or its installed
-  /// deadline has expired.
+  /// True when this thread's installed token has tripped (or its deadline
+  /// has passed).
   static bool cancelled() noexcept;
 
   /// The installed token (possibly null); lets pass-level code forward the
@@ -57,7 +55,6 @@ public:
 
 private:
   std::shared_ptr<const CancellationToken> Previous;
-  const Deadline *PreviousClock;
 };
 
 } // namespace la::analysis

@@ -856,10 +856,10 @@ size_t OctagonDomain::relationalFactCount(const PackedOctagon &O) {
 std::vector<OctagonState>
 analysis::runOctagonAnalysis(const AnalysisContext &Ctx,
                              FixpointTelemetry *Telemetry) {
-  // The octagon strong closure polls the installed token and deadline at
-  // its loop head, so a large DBM closure can stall neither portfolio
-  // cancellation nor the analysis time budget.
-  DomainCancelScope Scope(Ctx.Opts.Smt.Cancel, &Ctx.Clock);
+  // The octagon strong closure polls the installed token (which carries the
+  // analysis deadline) at its loop head, so a large DBM closure can stall
+  // neither portfolio cancellation nor the analysis time budget.
+  DomainCancelScope Scope(Ctx.Opts.Smt.Cancel);
   OctagonDomain Dom(Ctx.packs(), Ctx.Opts.Packs, &Ctx.OctXfer);
   return runDomainAnalysis(Dom, Ctx, Ctx.Opts.Octagons, Telemetry);
 }

@@ -604,9 +604,9 @@ analysis::runTemplateAnalysis(const AnalysisContext &Ctx,
       mineTemplates(Ctx, Ctx.Opts.Mining);
   if (Matrices)
     *Matrices = Mined;
-  // Value-internal LP closures poll the installed token and deadline (the
-  // transfer LPs carry the token explicitly as well).
-  DomainCancelScope Scope(Ctx.Opts.Smt.Cancel, &Ctx.Clock);
+  // Value-internal LP closures poll the installed token, which carries the
+  // analysis deadline (the transfer LPs carry the token explicitly as well).
+  DomainCancelScope Scope(Ctx.Opts.Smt.Cancel);
   TemplateDomain Dom(std::move(Mined), Ctx.Opts.Mining, Ctx.Opts.Smt.Cancel);
   return runDomainAnalysis(Dom, Ctx, Ctx.Opts.Polyhedra, Telemetry);
 }

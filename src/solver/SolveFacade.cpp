@@ -131,6 +131,27 @@ std::string unknownEngineError(const solver::SolverRegistry &Registry,
   return Error;
 }
 
+/// Re-checks a sat model on what is left of the wall budget \p Clock.
+/// \returns std::nullopt when the budget or the caller's token ran out
+/// before the check could finish.
+std::optional<ClauseStatus>
+validateWithin(const ChcSystem &System, const Interpretation &Interp,
+               const Deadline &Clock,
+               const std::shared_ptr<const CancellationToken> &Cancel) {
+  smt::SmtSolver::Options Check;
+  Check.Cancel = Cancel;
+  if (Clock.hasLimit()) {
+    double Left = Clock.remainingSeconds();
+    if (Left <= 0)
+      return std::nullopt;
+    Check.Cancel = std::make_shared<CancellationToken>(Cancel, Left);
+  }
+  ClauseStatus S = checkInterpretation(System, Interp, Check);
+  if (S == ClauseStatus::Unknown && isCancelled(Check.Cancel))
+    return std::nullopt;
+  return S;
+}
+
 } // namespace
 
 solver::SolveResult solver::solveSystem(const ChcSystem &System,
@@ -170,18 +191,26 @@ solver::SolveResult solver::solveSystem(const ChcSystem &System,
   }
   P.Isolate = Opts.Isolate;
 
+  // The wall budget covers the model check as well as the plan.
+  Deadline Clock(Opts.Limits.WallSeconds);
   PlanSolver Solver(std::move(P));
   ChcSolverResult R = Solver.solve(System);
+  if (R.Status == ChcResult::Sat && Opts.ValidateModel) {
+    // A model that cannot be checked within the budget is not reported:
+    // the answer is Unknown, as if the engine had run out of time.
+    std::optional<ClauseStatus> V =
+        validateWithin(System, R.Interp, Clock, Opts.Cancel);
+    if (V)
+      Out.ModelValidated = *V == ClauseStatus::Valid;
+    else
+      R.Status = ChcResult::Unknown;
+  }
   Out.Ok = true;
   Out.SolverName = Solver.name();
   Out.Status = R.Status;
   Out.Solver = R.Stats;
-  if (R.Status == ChcResult::Sat) {
+  if (R.Status == ChcResult::Sat)
     Out.Model = R.Interp.toString();
-    if (Opts.ValidateModel)
-      Out.ModelValidated =
-          checkInterpretation(System, R.Interp) == ClauseStatus::Valid;
-  }
   if (R.Status == ChcResult::Unsat && R.Cex)
     Out.Cex = R.Cex->toString(System);
   Out.Engines = Solver.reports();

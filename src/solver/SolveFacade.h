@@ -79,7 +79,9 @@ struct SolveOptions {
   /// Data-driven engine configuration (analysis options included), the base
   /// of the "la"/"analysis" engines and of every race lane.
   DataDrivenOptions Solver;
-  /// Re-check a sat model clause by clause with `chc::checkInterpretation`.
+  /// Re-check a sat model clause by clause with `chc::checkInterpretation`,
+  /// within what is left of `Limits.WallSeconds`; a sat model the check
+  /// cannot finish in time is answered Unknown.
   bool ValidateModel = true;
   /// Cooperative cancellation of the whole call.
   std::shared_ptr<const CancellationToken> Cancel;

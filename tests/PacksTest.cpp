@@ -18,6 +18,7 @@
 #include "corpus/Corpus.h"
 #include "frontend/Encoder.h"
 #include "smtlib2/Parser.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
@@ -342,6 +343,24 @@ TEST(ElevatorRegressionTest, F48RelationalFactsWithinBudget) {
   AnalysisResult R = analyzeElevator("gen_elevator_f48", 60.0, System);
   EXPECT_FALSE(R.TimedOut);
   EXPECT_GE(R.relationalFound(), 1u);
+}
+
+/// The analysis time cap binds every pass, the SMT checks of the verify
+/// pass included: f48's verify pass runs for over a second, so a pipeline
+/// capped at 0.5 s must cut it short instead of letting each check run to
+/// the default 10 s per-check clock. The slack covers sanitizer builds.
+TEST(ElevatorRegressionTest, F48AnalysisEndsAtItsCap) {
+  TermManager TM;
+  ChcSystem System(TM);
+  const corpus::BenchmarkProgram *Prog = corpus::find("gen_elevator_f48");
+  ASSERT_NE(Prog, nullptr);
+  ASSERT_TRUE(frontend::encodeMiniC(Prog->Source, System).Ok);
+  AnalysisOptions Opts;
+  Opts.TimeoutSeconds = 0.5;
+  Timer Watch;
+  AnalysisResult R = analyzeSystem(System, Opts);
+  EXPECT_LT(Watch.elapsedSeconds(), 0.75);
+  EXPECT_TRUE(R.TimedOut);
 }
 
 } // namespace

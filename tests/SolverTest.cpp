@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 using namespace la;
 using namespace la::chc;
@@ -271,6 +273,57 @@ TEST(SolveFacadeTest, SolvesTextEndToEnd) {
   EXPECT_EQ(S.Solver.Iterations, 0u);
   EXPECT_FALSE(S.AnalysisPasses.empty());
   EXPECT_NE(S.summary().find("sat"), std::string::npos);
+}
+
+/// Answers sat with a valid model of the bounded counter, but only once its
+/// stage deadline has passed.
+class LateSatSolver : public ChcSolverInterface {
+public:
+  explicit LateSatSolver(std::shared_ptr<const CancellationToken> Tok)
+      : Tok(std::move(Tok)) {}
+
+  ChcSolverResult solve(const ChcSystem &System) override {
+    while (!isCancelled(Tok))
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    TermManager &TM = System.termManager();
+    ChcSolverResult R(TM);
+    R.Status = ChcResult::Sat;
+    const Predicate *Inv = System.predicates().front();
+    R.Interp.set(Inv, TM.mkLe(Inv->Params[0], TM.mkIntConst(10)));
+    return R;
+  }
+  std::string name() const override { return "late-sat"; }
+
+private:
+  std::shared_ptr<const CancellationToken> Tok;
+};
+
+TEST(SolveFacadeTest, ModelCheckStaysWithinTheWallBudget) {
+  solver::EngineInfo Info;
+  Info.Id = solver::EngineId("late-sat-test");
+  Info.Description = "answers sat once its budget is spent (test engine)";
+  Info.IsDiagnostic = true;
+  solver::SolverRegistry::global().add(
+      std::move(Info), [](const solver::EngineOptions &EO) {
+        return std::make_unique<LateSatSolver>(EO.Cancel);
+      });
+  SolveOptions Opts;
+  Opts.Engine = solver::EngineId("late-sat-test");
+  Opts.Limits.WallSeconds = 0.2;
+
+  // No time is left to check the model, so the sat answer is not reported.
+  solver::SolveResult Late = solveChcText(BoundedCounterText, Opts);
+  ASSERT_TRUE(Late.Ok) << Late.Error;
+  EXPECT_EQ(Late.Status, ChcResult::Unknown);
+  EXPECT_FALSE(Late.ModelValidated);
+  EXPECT_TRUE(Late.Model.empty());
+
+  // Without the check the same answer stands.
+  Opts.ValidateModel = false;
+  solver::SolveResult Unchecked = solveChcText(BoundedCounterText, Opts);
+  ASSERT_TRUE(Unchecked.Ok) << Unchecked.Error;
+  EXPECT_EQ(Unchecked.Status, ChcResult::Sat);
+  EXPECT_FALSE(Unchecked.Model.empty());
 }
 
 TEST(SolveFacadeTest, ReportsParseAndFileErrors) {
