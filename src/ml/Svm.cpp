@@ -6,6 +6,8 @@
 
 #include "ml/Svm.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 
 using namespace la;
@@ -17,40 +19,77 @@ LinearClassifier SvmLearner::learn(const Dataset &Data, Random &Rng) const {
   if (N == 0 || Dim == 0)
     return LinearClassifier(Dim);
 
-  // Flatten to doubles with labels +1/-1.
-  std::vector<std::vector<double>> X;
+  // Flatten to doubles, one row per sample, with labels +1/-1.
+  std::vector<double> X;
   std::vector<double> Y;
-  X.reserve(N);
+  X.reserve(N * Dim);
+  Y.reserve(N);
   for (const Sample &S : Data.Pos) {
-    std::vector<double> Row;
     for (const Rational &V : S)
-      Row.push_back(V.toDouble());
-    X.push_back(std::move(Row));
+      X.push_back(V.toDouble());
     Y.push_back(1.0);
   }
   for (const Sample &S : Data.Neg) {
-    std::vector<double> Row;
     for (const Rational &V : S)
-      Row.push_back(V.toDouble());
-    X.push_back(std::move(Row));
+      X.push_back(V.toDouble());
     Y.push_back(-1.0);
   }
+  assert(X.size() == N * Dim && "every sample has Dim coordinates");
 
-  auto Dot = [&](size_t I, size_t J) {
+  auto RowDot = [&](size_t I, size_t J) {
+    const double *A = &X[I * Dim], *Bv = &X[J * Dim];
     double Sum = 0;
     for (size_t K = 0; K < Dim; ++K)
-      Sum += X[I][K] * X[J][K];
+      Sum += A[K] * Bv[K];
     return Sum;
+  };
+  // Every prediction reads a row of inner products, so they are computed
+  // once up front. Each is the same sum as before (products commute
+  // exactly), and predictions add their terms in the same index order, so
+  // the classifier and the random draws do not change. Past GramLimit
+  // samples the matrix would be too large to keep, and products are
+  // recomputed instead.
+  constexpr size_t GramLimit = 1024;
+  std::vector<double> Gram;
+  if (N <= GramLimit) {
+    Gram.resize(N * N);
+    for (size_t I = 0; I < N; ++I)
+      for (size_t J = 0; J <= I; ++J)
+        Gram[I * N + J] = Gram[J * N + I] = RowDot(I, J);
+  }
+  auto Dot = [&](size_t I, size_t J) {
+    return Gram.empty() ? RowDot(I, J) : Gram[I * N + J];
   };
 
   // Simplified SMO (Platt'99 / CS229 variant).
   std::vector<double> Alpha(N, 0.0);
   double B = 0.0;
+  // The indices of the nonzero multipliers in ascending order: the terms a
+  // prediction sums.
+  std::vector<size_t> Support;
+  auto SetAlpha = [&](size_t K, double V) {
+    auto It = std::lower_bound(Support.begin(), Support.end(), K);
+    bool Listed = It != Support.end() && *It == K;
+    if (V != 0.0 && !Listed)
+      Support.insert(It, K);
+    else if (V == 0.0 && Listed)
+      Support.erase(It);
+    Alpha[K] = V;
+  };
+  // Row I of the Gram matrix; past GramLimit, just its support entries.
+  std::vector<double> RowScratch(Gram.empty() ? N : 0);
+  auto GramRow = [&](size_t I) -> const double * {
+    if (!Gram.empty())
+      return &Gram[I * N];
+    for (size_t K : Support)
+      RowScratch[K] = RowDot(I, K);
+    return RowScratch.data();
+  };
   auto Predict = [&](size_t I) {
+    const double *Row = GramRow(I);
     double Sum = B;
-    for (size_t K = 0; K < N; ++K)
-      if (Alpha[K] != 0.0)
-        Sum += Alpha[K] * Y[K] * Dot(K, I);
+    for (size_t K : Support)
+      Sum += Alpha[K] * Y[K] * Row[K];
     return Sum;
   };
 
@@ -87,8 +126,8 @@ LinearClassifier SvmLearner::learn(const Dataset &Data, Random &Rng) const {
       if (std::fabs(AjNew - AjOld) < 1e-7)
         continue;
       double AiNew = AiOld + Y[I] * Y[J] * (AjOld - AjNew);
-      Alpha[I] = AiNew;
-      Alpha[J] = AjNew;
+      SetAlpha(I, AiNew);
+      SetAlpha(J, AjNew);
       double B1 = B - Ei - Y[I] * (AiNew - AiOld) * Dot(I, I) -
                   Y[J] * (AjNew - AjOld) * Dot(I, J);
       double B2 = B - Ej - Y[I] * (AiNew - AiOld) * Dot(I, J) -
@@ -109,7 +148,7 @@ LinearClassifier SvmLearner::learn(const Dataset &Data, Random &Rng) const {
   for (size_t I = 0; I < N; ++I)
     if (Alpha[I] != 0.0)
       for (size_t K = 0; K < Dim; ++K)
-        W[K] += Alpha[I] * Y[I] * X[I][K];
+        W[K] += Alpha[I] * Y[I] * X[I * Dim + K];
 
   std::optional<LinearClassifier> Exact = rationalizeHyperplane(W, B, Data);
   if (!Exact)
